@@ -6,9 +6,184 @@
 //! run much longer than that therefore marks end-of-frame (the monitor sees
 //! EOF + intermission ≥ 10 recessive bits).
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::scan;
+
+/// Where a framing state machine keeps the samples earlier chunks left
+/// behind: the idle lead-in before a SOF and the body of a frame still
+/// open at a chunk boundary. The window under construction is always the
+/// retained samples followed by the current chunk's samples scanned so
+/// far.
+pub(crate) trait Retained {
+    /// Number of retained samples.
+    fn len(&self) -> usize;
+    /// Drops the `n` oldest retained samples.
+    fn trim_front(&mut self, n: usize);
+}
+
+impl Retained for Vec<f64> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn trim_front(&mut self, n: usize) {
+        self.drain(..n.min(Vec::len(self)));
+    }
+}
+
+/// A frame window that closed inside the chunk being scanned.
+#[derive(Debug)]
+pub(crate) struct Closed {
+    /// Absolute stream position of the window's first sample.
+    pub base: u64,
+    /// The chunk range that ends the window: the retained samples followed
+    /// by `chunk[span]` are the whole window. The range's last sample is
+    /// the one that completed the closing idle gap.
+    pub span: Range<usize>,
+    /// Offset of the frame's SOF from the window start.
+    pub sof: usize,
+}
+
+/// The frame-boundary state machine: SOF search, lead-in trim, gap-close
+/// search, recessive-run carry and sample accounting. It holds no samples
+/// itself — the caller's [`Retained`] store does — so [`StreamFramer`]
+/// (an owned buffer) and the pipeline's splitter (zero-copy chunk spans)
+/// run the very same boundary logic.
+///
+/// Each chunk is consumed in *runs*, not sample by sample: idle spans are
+/// skipped with one vectorizable threshold scan ([`scan::find_dominant`])
+/// and trimmed to the lead-in once per span, and in-frame spans use the
+/// fused block-max gap search ([`scan::gap_close`]) — a close needs
+/// `end_gap` consecutive recessive samples, and the search folds eight
+/// lanes per step to find where that run completes.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct Boundaries {
+    /// Dominant/recessive decision threshold (ADC code units).
+    threshold: f64,
+    /// Recessive run, in samples, that closes a frame (8 bits: EOF plus
+    /// intermission is at least 10).
+    end_gap: usize,
+    /// Leading idle samples retained before SOF.
+    lead_in: usize,
+    /// Offset of the open frame's SOF from the window start, if a frame
+    /// is open. Fixed once in-frame: nothing is trimmed after SOF.
+    sof: Option<usize>,
+    /// Length of the open frame's trailing recessive run, in samples;
+    /// reset at each SOF.
+    recessive_run: usize,
+    /// Total samples consumed (absolute stream position).
+    consumed: u64,
+}
+
+impl Boundaries {
+    /// Creates the state machine for `bit_width` samples per bit and the
+    /// given dominant/recessive threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit_width < 2.0` samples.
+    pub fn new(bit_width: f64, threshold: f64) -> Self {
+        assert!(bit_width >= 2.0, "need at least 2 samples per bit");
+        Boundaries {
+            threshold,
+            end_gap: (8.0 * bit_width) as usize,
+            lead_in: (2.0 * bit_width) as usize,
+            sof: None,
+            recessive_run: 0,
+            consumed: 0,
+        }
+    }
+
+    /// Total samples consumed so far.
+    pub fn consumed(&self) -> u64 {
+        self.consumed
+    }
+
+    /// Scans one chunk, calling `on_close` for every frame that closes
+    /// inside it. `on_close` must take the window's retained part out of
+    /// the store, leaving it empty. Returns the start of the chunk suffix
+    /// the caller must append to the store afterwards (`samples.len()`
+    /// when nothing of this chunk needs keeping).
+    // xtask: hot-path
+    pub fn scan_chunk<R: Retained>(
+        &mut self,
+        samples: &[f64],
+        retained: &mut R,
+        mut on_close: impl FnMut(&mut R, Closed),
+    ) -> usize {
+        let mut i = 0usize;
+        // Start of this chunk's part of the window under construction:
+        // the window so far is `retained ++ samples[span_start..i]`.
+        let mut span_start = 0usize;
+        while i < samples.len() {
+            let sof = match self.sof {
+                Some(sof) => sof,
+                None => {
+                    // Idle: find the next dominant sample (SOF), keeping
+                    // only a lead-in tail of the idle span before it —
+                    // trimmed front-first, retained samples before the
+                    // in-chunk span.
+                    let sof_off = scan::find_dominant(&samples[i..], self.threshold);
+                    let idle_len = sof_off.unwrap_or(samples.len() - i);
+                    self.consumed += idle_len as u64;
+                    i += idle_len;
+                    let excess = (retained.len() + i - span_start).saturating_sub(self.lead_in);
+                    let from_retained = excess.min(retained.len());
+                    retained.trim_front(from_retained);
+                    span_start += excess - from_retained;
+                    if sof_off.is_none() {
+                        break; // chunk was pure idle
+                    }
+                    let sof = retained.len() + i - span_start;
+                    self.sof = Some(sof);
+                    self.recessive_run = 0;
+                    sof
+                }
+            };
+            // In frame: find where the trailing recessive run reaches
+            // `end_gap`, or carry the run into the next chunk.
+            match scan::gap_close(
+                &samples[i..],
+                self.threshold,
+                self.end_gap,
+                self.recessive_run,
+            ) {
+                Ok(k) => {
+                    self.consumed += (k + 1) as u64;
+                    i += k + 1;
+                    let window_len = retained.len() + i - span_start;
+                    let closed = Closed {
+                        base: self.consumed - window_len as u64,
+                        span: span_start..i,
+                        sof,
+                    };
+                    on_close(retained, closed);
+                    debug_assert_eq!(retained.len(), 0, "on_close must take the retained samples");
+                    self.sof = None;
+                    span_start = i;
+                }
+                Err(run_out) => {
+                    self.recessive_run = run_out;
+                    self.consumed += (samples.len() - i) as u64;
+                    break;
+                }
+            }
+        }
+        span_start
+    }
+
+    /// Ends a frame that never saw its closing idle gap (end of capture):
+    /// returns its window's stream position and SOF offset — the window
+    /// is everything retained — or `None` when no frame is open.
+    // xtask: cold
+    pub fn flush(&mut self, retained_len: usize) -> Option<(u64, usize)> {
+        let sof = self.sof.take()?;
+        Some((self.consumed - retained_len as u64, sof))
+    }
+}
 
 /// Splits a continuous sample stream into per-frame windows.
 ///
@@ -17,23 +192,10 @@ use crate::scan;
 /// search expects) are returned as they close.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamFramer {
-    /// Samples per bit.
-    bit_width: f64,
-    /// Dominant/recessive decision threshold (ADC code units).
-    threshold: f64,
-    /// Idle gap, in bits, that closes a frame.
-    end_gap_bits: f64,
-    /// Leading idle samples retained before SOF.
-    lead_in: usize,
-    /// Internal buffer of samples not yet emitted.
+    /// The boundary state machine.
+    bounds: Boundaries,
+    /// Samples retained from earlier chunks and not yet emitted.
     buffer: Vec<f64>,
-    /// Index into `buffer` where the current frame's SOF sits, if a frame
-    /// is open.
-    sof_at: Option<usize>,
-    /// Length of the current trailing recessive run, in samples.
-    recessive_run: usize,
-    /// Total samples consumed (for event timestamps).
-    consumed: u64,
 }
 
 impl StreamFramer {
@@ -43,53 +205,26 @@ impl StreamFramer {
     ///
     /// Panics if `bit_width < 2.0` samples.
     pub fn new(bit_width: f64, threshold: f64) -> Self {
-        assert!(bit_width >= 2.0, "need at least 2 samples per bit");
         StreamFramer {
-            bit_width,
-            threshold,
-            end_gap_bits: 8.0,
-            lead_in: (2.0 * bit_width) as usize,
+            bounds: Boundaries::new(bit_width, threshold),
             buffer: Vec::new(),
-            sof_at: None,
-            recessive_run: 0,
-            consumed: 0,
         }
     }
 
     /// Total samples consumed so far.
     pub fn samples_consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Resets the framer to the idle state at absolute stream position
-    /// `pos`: buffer emptied, no frame open, no carried recessive run.
-    ///
-    /// This is exactly the state a framer holds immediately after a frame
-    /// closes (or before it has seen any samples), which is what lets a
-    /// worker re-frame a routed substream segment with a single reusable
-    /// framer: `reset_to(segment.base)` then `push_into` reproduces the
-    /// global framer's output for that segment byte-for-byte.
-    pub fn reset_to(&mut self, pos: u64) {
-        self.buffer.clear();
-        self.sof_at = None;
-        self.recessive_run = 0;
-        self.consumed = pos;
+        self.bounds.consumed()
     }
 
     /// Pushes a chunk of samples; returns every frame window completed by
     /// this chunk, each paired with the stream position of its first
     /// sample.
     ///
-    /// The chunk is consumed in *runs*, not sample by sample: idle spans
-    /// are skipped with one vectorizable threshold scan and copied into the
-    /// buffer with one `extend_from_slice` (trimmed to the lead-in tail
-    /// once per span rather than once per sample), and in-frame spans use
-    /// the fused block-max gap search ([`scan::gap_close`]) — a close
-    /// needs `end_gap` consecutive recessive samples, and the search folds
-    /// eight lanes per step to find where that run completes. A closed frame's
-    /// window is assembled directly from the buffered head plus the in-chunk
-    /// tail (one copy of the body, not two). Output is identical to the
-    /// historical per-sample loop for every chunking of the stream.
+    /// Boundaries come from the shared [`Boundaries`] state machine; a
+    /// closed frame's window is assembled directly from the buffered head
+    /// plus the in-chunk tail (one copy of the body), and only the chunk
+    /// suffix the machine still needs is buffered. Output is identical for
+    /// every chunking of the stream.
     // xtask: hot-path
     pub fn push(&mut self, samples: &[f64]) -> Vec<(u64, Vec<f64>)> {
         // xtask: allow(hot-path-alloc): an empty Vec does not touch the heap; it only grows when a frame closes and is moved out to the caller
@@ -102,84 +237,27 @@ impl StreamFramer {
     /// steady-state caller can reuse one scratch allocation across chunks.
     // xtask: hot-path
     pub fn push_into(&mut self, samples: &[f64], out: &mut Vec<(u64, Vec<f64>)>) {
-        let end_gap = (self.end_gap_bits * self.bit_width) as usize;
-        let mut i = 0usize;
-        while i < samples.len() {
-            if self.sof_at.is_none() {
-                // Idle: find the next dominant sample (SOF), keeping only a
-                // lead-in tail of the idle span before it.
-                let sof_off = scan::find_dominant(&samples[i..], self.threshold);
-                let idle_len = sof_off.unwrap_or(samples.len() - i);
-                self.consumed += idle_len as u64;
-                if idle_len >= self.lead_in {
-                    // The span alone covers the lead-in: whatever idle tail
-                    // the buffer held is superseded, skip copying the rest.
-                    self.buffer.clear();
-                    self.buffer
-                        .extend_from_slice(&samples[i + idle_len - self.lead_in..i + idle_len]);
-                } else {
-                    self.buffer.extend_from_slice(&samples[i..i + idle_len]);
-                    if self.buffer.len() > self.lead_in {
-                        let excess = self.buffer.len() - self.lead_in;
-                        self.buffer.drain(..excess);
-                    }
-                }
-                i += idle_len;
-                let Some(_) = sof_off else {
-                    break; // chunk was pure idle
-                };
-                self.sof_at = Some(self.buffer.len());
-                self.recessive_run = 0;
-                // Fall through: `i` points at the SOF sample, handled by the
-                // in-frame branch below.
-            }
-            // In frame: find the first offset (into `rel`) where the
-            // trailing recessive run reaches `end_gap` — one fused forward
-            // block pass ([`scan::gap_close`]) that grows the run a whole
-            // 8-lane block at a time through recessive spans and restarts
-            // it at each block's trailing recessive tail otherwise.
-            let rel = &samples[i..];
-            match scan::gap_close(rel, self.threshold, end_gap, self.recessive_run) {
-                Ok(k) => {
-                    // Frame closed: emit from lead-in before SOF through the
-                    // closing sample, copying the in-chunk body straight
-                    // into the window.
-                    self.consumed += (k + 1) as u64;
-                    let sof = self.sof_at.take().unwrap_or(0);
-                    let start = sof.saturating_sub(self.lead_in);
-                    // xtask: allow(hot-path-alloc): one buffer per closed frame whose ownership moves into the emitted window; gated by the runtime alloc harness
-                    let mut window = Vec::with_capacity(self.buffer.len() - start + k + 1);
-                    window.extend_from_slice(&self.buffer[start..]);
-                    window.extend_from_slice(&samples[i..=i + k]);
-                    let stream_pos = self.consumed - window.len() as u64;
-                    out.push((stream_pos, window));
-                    self.buffer.clear();
-                    self.recessive_run = 0;
-                    i += k + 1;
-                }
-                Err(run_out) => {
-                    // Chunk ends mid-frame: buffer the rest and carry the
-                    // trailing recessive run.
-                    self.recessive_run = run_out;
-                    self.buffer.extend_from_slice(rel);
-                    self.consumed += rel.len() as u64;
-                    break;
-                }
-            }
-        }
+        let keep = self
+            .bounds
+            .scan_chunk(samples, &mut self.buffer, |buffer, closed| {
+                let tail = samples.get(closed.span).unwrap_or(&[]);
+                // xtask: allow(hot-path-alloc): one buffer per closed frame whose ownership moves into the emitted window; gated by the runtime alloc harness
+                let mut window = Vec::with_capacity(buffer.len() + tail.len());
+                window.extend_from_slice(buffer);
+                window.extend_from_slice(tail);
+                buffer.clear();
+                out.push((closed.base, window));
+            });
+        self.buffer
+            .extend_from_slice(samples.get(keep..).unwrap_or(&[]));
     }
 
     /// Flushes a trailing frame that never saw its closing idle gap (e.g.
     /// at end of capture). Returns `None` when no frame is open.
     // xtask: cold
     pub fn flush(&mut self) -> Option<(u64, Vec<f64>)> {
-        let sof = self.sof_at.take()?;
-        let start = sof.saturating_sub(self.lead_in);
-        let window = self.buffer[start..].to_vec();
-        let stream_pos = self.consumed - window.len() as u64;
-        self.buffer.clear();
-        self.recessive_run = 0;
-        Some((stream_pos, window))
+        let (stream_pos, _) = self.bounds.flush(self.buffer.len())?;
+        Some((stream_pos, std::mem::take(&mut self.buffer)))
     }
 }
 
@@ -281,7 +359,7 @@ mod tests {
             assert!(f.push(&vec![100.0; 1000]).is_empty());
         }
         // Internal buffer must not grow with idle time.
-        assert!(f.buffer.len() <= f.lead_in + 1);
+        assert!(f.buffer.len() <= f.bounds.lead_in + 1);
     }
 
     #[test]

@@ -13,14 +13,15 @@
 //!   extraction → Algorithm 3 detection → [`IdsEvent`]s, with an optional
 //!   online-update policy (§5.3) that absorbs accepted messages and signals
 //!   when a full retrain is due;
-//! * [`IdsPipeline`] — a threaded, sharded wrapper: a router *splits* the
-//!   sample stream into raw per-frame segments (peeking only the
+//! * [`IdsPipeline`] — a threaded, sharded wrapper: a router frames the
+//!   sample stream once into zero-copy per-frame segments (the same
+//!   boundary state machine as [`StreamFramer`], peeking only the
 //!   arbitration field) and routes each to one of N detection workers by a
 //!   stable hash of the claimed source address ([`stable_shard`], seedable
 //!   via [`stable_shard_seeded`]) over bounded per-shard SPSC rings with
-//!   batched hand-off; each worker re-frames its segments with its own
-//!   [`StreamFramer`], so every worker owns a disjoint set of per-SA
-//!   cluster state and framing runs in parallel; a merger re-serializes
+//!   batched hand-off; each worker scores its segments as the windows they
+//!   are, so every worker owns a disjoint set of per-SA cluster state; a
+//!   merger re-serializes
 //!   events through a sequence-numbered [`ReorderBuffer`], making the
 //!   output order deterministic and identical to a single-worker run;
 //! * self-healing — each worker runs under a supervisor that absorbs

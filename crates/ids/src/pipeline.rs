@@ -3,23 +3,23 @@
 //!
 //! The pipeline runs three kinds of threads:
 //!
-//! * a **router** that *splits* the raw sample stream into per-frame
-//!   segments without framing it: a [`FrameSplitter`] mirrors the
-//!   framer's boundary state machine over borrowed (`Arc`) chunk slices,
-//!   peeks each frame's claimed source address
-//!   ([`vprofile::EdgeSetExtractor::peek_sa`]) on exactly the frame's
-//!   sample range, and routes the raw segment to a worker shard via
+//! * a **router** that frames the raw sample stream exactly once: a
+//!   [`FrameSplitter`] runs the framer's boundary state machine over
+//!   borrowed (`Arc`) chunk slices, emits each frame's window as a
+//!   zero-copy segment, peeks its claimed source address
+//!   ([`vprofile::EdgeSetExtractor::peek_sa`]) from the frame's SOF on,
+//!   and routes the segment to a worker shard via
 //!   [`crate::stable_shard_seeded`]. Segments travel over bounded
 //!   per-shard SPSC rings ([`SpscRing`]) in batches of [`ROUTE_BATCH`],
 //!   so the hand-off costs one atomic per batch, not per frame. Routing
 //!   by the claimed SA means each worker owns a *disjoint* set of per-SA
 //!   cluster state, so online updates never race across workers;
 //! * **N supervised detection workers**, each owning a clone of the
-//!   [`IdsEngine`] *and its own [`crate::StreamFramer`]*: the worker
-//!   re-frames each routed segment locally (byte-identical to a single
-//!   global framer, because a framer's post-close state is exactly its
-//!   reset state and its output is chunking-invariant) and scores the
-//!   resulting window. Each worker runs under a supervisor that catches
+//!   [`IdsEngine`] and no framer: a routed segment already *is* the
+//!   frame's window (bit-identical to [`crate::StreamFramer`]'s), so the
+//!   worker borrows it in place when the frame sat in one chunk, copies
+//!   its parts into one reused buffer otherwise, and scores it. Each
+//!   worker runs under a supervisor that catches
 //!   panics and respawns the scoring loop from a periodically-refreshed
 //!   engine checkpoint, with exponential backoff and a bounded restart
 //!   budget; past the budget the shard fails permanently and its windows
@@ -64,7 +64,7 @@ use crate::health::{
 use crate::ring::SpscRing;
 use crate::shadow::{ShadowEvent, ShadowVerdict};
 use crate::splitter::{FrameSplitter, RawSegment};
-use crate::{stable_shard_seeded, IdsEngine, IdsEvent, ReorderBuffer, StreamFramer};
+use crate::{stable_shard_seeded, IdsEngine, IdsEvent, ReorderBuffer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -74,7 +74,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vprofile::{EdgeSetExtractor, VProfileConfig};
+use vprofile::{QuarantineSet, VProfileConfig};
 use vprofile_fusion::DriftLedger;
 
 /// Failure modes of the threaded pipeline.
@@ -174,17 +174,17 @@ impl CoreEngine {
         }
     }
 
-    fn release_all_quarantined(&mut self) {
+    fn release_sa(&mut self, sa: u8) {
         match self {
-            CoreEngine::Single(engine) => engine.release_all_quarantined(),
-            CoreEngine::Fused(engine) => engine.release_all_quarantined(),
+            CoreEngine::Single(engine) => engine.release_sa(sa),
+            CoreEngine::Fused(engine) => engine.release_sa(sa),
         }
     }
 
-    fn quarantined_len(&self) -> usize {
+    fn quarantined(&self) -> &QuarantineSet {
         match self {
-            CoreEngine::Single(engine) => engine.quarantined().len(),
-            CoreEngine::Fused(engine) => engine.quarantined().len(),
+            CoreEngine::Single(engine) => engine.quarantined(),
+            CoreEngine::Fused(engine) => engine.quarantined(),
         }
     }
 
@@ -461,11 +461,11 @@ pub struct PipelineStats {
 /// attribute compute, not waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageBreakdown {
-    /// Splitting the raw sample stream into frame segments plus the
-    /// SA-peek shard routing decision, in the router thread. Framing
-    /// proper happens on the workers and lands in `frame_ns`.
+    /// Framing the raw sample stream into frame segments plus the
+    /// SA-peek shard routing decision, in the router thread.
     pub router_ns: u64,
-    /// Re-framing routed segments into score-ready windows, across all
+    /// Assembling each routed segment's score-ready window (a borrow, or
+    /// one copy for a frame that straddled a chunk boundary), across all
     /// workers.
     pub frame_ns: u64,
     /// Algorithm 1 edge-set extraction, across all workers.
@@ -505,8 +505,8 @@ impl StageClocks {
     }
 }
 
-/// One routed raw frame segment travelling from the router to a worker
-/// over the shard's ring; the worker re-frames it locally.
+/// One routed frame segment travelling from the router to a worker over
+/// the shard's ring; the segment is the frame's window.
 struct SegmentItem {
     seq: u64,
     segment: RawSegment,
@@ -807,10 +807,8 @@ impl IdsPipeline {
             policy: config.backpressure,
         };
         let router = std::thread::spawn(move || {
-            let splitter =
-                FrameSplitter::new(model_config.bit_width_samples, model_config.bit_threshold);
-            let peeker = EdgeSetExtractor::new(model_config);
-            router_loop(splitter, peeker, router_rt);
+            let splitter = FrameSplitter::new(model_config);
+            router_loop(splitter, router_rt);
         });
 
         let merger_stats = Arc::clone(&stats);
@@ -1034,21 +1032,21 @@ impl Drop for RingCloser<'_> {
 
 /// Splits the sample stream into raw frame segments and routes each to
 /// its shard's ring by the peeked source address.
-fn router_loop(splitter: FrameSplitter, peeker: EdgeSetExtractor, rt: RouterRuntime) {
+fn router_loop(splitter: FrameSplitter, rt: RouterRuntime) {
     let _closer = RingCloser(&rt.rings);
-    route_stream(splitter, peeker, &rt);
+    route_stream(splitter, &rt);
 }
 
 /// The routing loop proper; returns early (after waking blocked
 /// producers) when a shard's consumer died beyond supervision.
-fn route_stream(mut splitter: FrameSplitter, peeker: EdgeSetExtractor, rt: &RouterRuntime) {
+fn route_stream(mut splitter: FrameSplitter, rt: &RouterRuntime) {
     let mut seq = 0u64;
     let mut segments: Vec<RawSegment> = Vec::new();
     let mut batches: Vec<Vec<SegmentItem>> = (0..rt.workers).map(|_| Vec::new()).collect();
     while let Some(chunk) = rt.queue.pop() {
         let chunk: Arc<[f64]> = chunk.into();
         let splitting = Instant::now();
-        splitter.split_chunk(&chunk, &peeker, &mut segments);
+        splitter.split_chunk(&chunk, &mut segments);
         rt.clocks
             .router
             .fetch_add(elapsed_ns(splitting), Ordering::Relaxed);
@@ -1079,7 +1077,7 @@ fn route_stream(mut splitter: FrameSplitter, peeker: EdgeSetExtractor, rt: &Rout
             }
         }
     }
-    if let Some(segment) = splitter.flush(&peeker) {
+    if let Some(segment) = splitter.flush() {
         let shard = stable_shard_seeded(segment.sa, rt.workers, rt.shard_seed);
         if let Some(batch) = batches.get_mut(shard) {
             batch.push(SegmentItem { seq, segment });
@@ -1167,20 +1165,20 @@ struct WorkerRuntime {
 /// Mutable worker state that survives a panic of the scoring loop: the
 /// supervisor rolls `engine` back to `checkpoint` and resumes from
 /// `pending`, dropping only the segment that was in flight when the panic
-/// hit. The framer needs no checkpoint: it is `reset_to` the segment base
-/// before every frame, so it carries no cross-segment state.
+/// hit.
 struct WorkerState {
     engine: CoreEngine,
     checkpoint: CoreEngine,
     shadows: Vec<IdsEngine>,
     shadow_checkpoints: Vec<IdsEngine>,
-    /// This shard's own framer, re-framing each routed segment locally.
-    framer: StreamFramer,
     pending: VecDeque<SegmentItem>,
     /// Scratch for ring pops; drained into `pending` immediately.
     batch: Vec<SegmentItem>,
-    /// Scratch for per-segment framing output; cleared before each frame.
-    frames_scratch: Vec<(u64, Vec<f64>)>,
+    /// Reused window buffer for segments that straddle a chunk boundary.
+    window: Vec<f64>,
+    /// SAs the circuit breaker quarantined (and only those): recovery
+    /// releases exactly these, never a drift-guard quarantine.
+    breaker_quarantine: QuarantineSet,
     in_flight: Option<(u64, u64)>,
     monitor: HealthMonitor,
     processed: usize,
@@ -1232,48 +1230,6 @@ impl WorkerState {
             .fetch_add(elapsed_ns(shadowing), Ordering::Relaxed);
         verdicts
     }
-    /// Re-frames one routed segment into its score-ready window, exactly
-    /// as the single global framer would have: reset to the segment base,
-    /// replay head and tail, flush if the capture ended mid-frame (see
-    /// [`FrameSplitter`] for why this is byte-identical).
-    // xtask: hot-path
-    fn frame_segment(&mut self, segment: &RawSegment) -> (u64, Vec<f64>) {
-        self.framer.reset_to(segment.base);
-        self.frames_scratch.clear();
-        if !segment.head.is_empty() {
-            self.framer
-                .push_into(&segment.head, &mut self.frames_scratch);
-        }
-        let mid = segment.mid_slice();
-        if !mid.is_empty() {
-            self.framer.push_into(mid, &mut self.frames_scratch);
-        }
-        let tail = segment.tail_slice();
-        if !tail.is_empty() {
-            self.framer.push_into(tail, &mut self.frames_scratch);
-        }
-        if segment.open_tail {
-            if let Some(window) = self.framer.flush() {
-                self.frames_scratch.push(window);
-            }
-        }
-        debug_assert_eq!(
-            self.frames_scratch.len(),
-            1,
-            "a routed segment re-frames to exactly one window"
-        );
-        self.frames_scratch.pop().unwrap_or_else(|| {
-            // Defensive (unreachable by the splitter/framer equivalence):
-            // score the raw segment samples at its base position rather
-            // than losing the frame and stalling the merger's sequence.
-            // xtask: allow(hot-path-alloc): unreachable fallback arm, not the steady-state path
-            let mut window = segment.head.clone();
-            window.extend_from_slice(segment.mid_slice());
-            window.extend_from_slice(segment.tail_slice());
-            (segment.base, window)
-        })
-    }
-
     /// The scoring loop proper; returns when the shard's ring closes and
     /// drains (clean shutdown) or the merger is gone. May panic — the
     /// supervisor catches it.
@@ -1289,31 +1245,37 @@ impl WorkerState {
             }
             while let Some(item) = self.pending.pop_front() {
                 // The in-flight marker must be set before any fallible
-                // work so a panic anywhere in framing or scoring maps to
-                // exactly this segment.
-                self.in_flight = Some((item.seq, item.segment.base));
+                // work so a panic anywhere in scoring maps to exactly this
+                // segment, at the position its scored event would have had.
+                let stream_pos = item.segment.base;
+                self.in_flight = Some((item.seq, stream_pos));
                 let framing = Instant::now();
-                let (stream_pos, window) = self.frame_segment(&item.segment);
+                let mut buffer = std::mem::take(&mut self.window);
+                let window = item.segment.window(&mut buffer);
                 rt.clocks
                     .frame
                     .fetch_add(elapsed_ns(framing), Ordering::Relaxed);
-                // Re-point the marker at the framed window position so a
-                // restart placeholder lands exactly where the scored event
-                // would have (keeps merged positions monotonic).
-                self.in_flight = Some((item.seq, stream_pos));
                 if let Some(hook) = &rt.hook {
                     hook(rt.shard, item.seq);
                 }
-                let (event, fusion) = self.score(rt, stream_pos, &window);
+                let (event, fusion) = self.score(rt, stream_pos, window);
                 // Shadows only mirror frames the primary actually scored:
                 // degraded/dropped placeholders carry no primary verdict
                 // to disagree with.
                 let shadow = match &event {
                     IdsEvent::Scored(scored) if !scored.extraction_failed => {
-                        self.score_shadows(rt, stream_pos, &window, scored.verdict.is_anomaly())
+                        self.score_shadows(rt, stream_pos, window, scored.verdict.is_anomaly())
                     }
                     _ => Vec::new(),
                 };
+                self.window = buffer;
+                // Breaker transitions and the drift guard both move the
+                // quarantine; publish its size whenever it changed.
+                let quarantined = self.engine.quarantined().len();
+                let gauge = &rt.gauges[rt.shard].quarantined;
+                if gauge.load(Ordering::Relaxed) != quarantined {
+                    gauge.store(quarantined, Ordering::Relaxed);
+                }
                 self.in_flight = None;
                 self.processed += 1;
                 if self.processed.is_multiple_of(rt.checkpoint_interval) {
@@ -1368,14 +1330,17 @@ impl WorkerState {
                     // Quarantine the SAs the fault was flowing through so
                     // corrupt observations cannot poison the model, and
                     // checkpoint so a restart preserves the quarantine.
+                    // Only SAs not already quarantined become the
+                    // breaker's to release.
                     for sa in self.monitor.drain_recent_sas() {
+                        if !self.engine.quarantined().contains(sa) {
+                            self.breaker_quarantine.insert(sa);
+                        }
                         self.engine.quarantine_sa(sa);
                     }
-                    let gauges = &rt.gauges[rt.shard];
-                    gauges.breaker_open.store(true, Ordering::Relaxed);
-                    gauges
-                        .quarantined
-                        .store(self.engine.quarantined_len(), Ordering::Relaxed);
+                    rt.gauges[rt.shard]
+                        .breaker_open
+                        .store(true, Ordering::Relaxed);
                     self.refresh_checkpoint();
                     return (
                         IdsEvent::Degraded {
@@ -1394,12 +1359,16 @@ impl WorkerState {
                     let (event, fusion) = self.process_timed(rt, stream_pos, window);
                     let healthy = matches!(outcome_of(&event), WindowOutcome::Healthy);
                     if self.monitor.record_probe(healthy) {
-                        // Fault cleared: release the quarantine and resume
-                        // hard verdicts, starting with this probe's.
-                        self.engine.release_all_quarantined();
-                        let gauges = &rt.gauges[rt.shard];
-                        gauges.breaker_open.store(false, Ordering::Relaxed);
-                        gauges.quarantined.store(0, Ordering::Relaxed);
+                        // Fault cleared: release the breaker's quarantine
+                        // and resume hard verdicts, starting with this
+                        // probe's.
+                        for sa in self.breaker_quarantine.iter() {
+                            self.engine.release_sa(sa);
+                        }
+                        self.breaker_quarantine.clear();
+                        rt.gauges[rt.shard]
+                            .breaker_open
+                            .store(false, Ordering::Relaxed);
                         self.refresh_checkpoint();
                         return (event, fusion);
                     }
@@ -1448,19 +1417,15 @@ fn supervised_worker(engine: CoreEngine, shadows: Vec<IdsEngine>, rt: WorkerRunt
     // supervision does not cover, the router must not park forever on a
     // ring nobody will ever drain again.
     let _consumer_guard = RingConsumerGuard(Arc::clone(&rt.ring));
-    let framer = {
-        let config = engine.config();
-        StreamFramer::new(config.bit_width_samples, config.bit_threshold)
-    };
     let mut state = WorkerState {
         checkpoint: engine.clone(),
         engine,
         shadow_checkpoints: shadows.clone(),
         shadows,
-        framer,
         pending: VecDeque::new(),
         batch: Vec::new(),
-        frames_scratch: Vec::new(),
+        window: Vec::new(),
+        breaker_quarantine: QuarantineSet::new(),
         in_flight: None,
         monitor: HealthMonitor::new(rt.health),
         processed: 0,
@@ -1523,8 +1488,8 @@ impl Drop for RingConsumerGuard {
 /// Drains a permanently failed shard: everything still queued (and
 /// everything the router routes here from now on) becomes a `Dropped`
 /// placeholder, so the router never blocks on a dead shard and the merger
-/// never waits on a missing sequence number. The un-framed segment base
-/// stands in for the window position the worker never computed.
+/// never waits on a missing sequence number, each at its window's
+/// position.
 fn drain_failed_shard(
     rt: &WorkerRuntime,
     pending: VecDeque<SegmentItem>,

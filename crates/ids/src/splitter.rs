@@ -1,48 +1,46 @@
 //! Raw-chunk frame splitting for the parallel router.
 //!
-//! The historical router ran a full [`crate::StreamFramer`] over the
-//! sample stream and shipped *copied windows* to the workers — which made
-//! framing (plus the window copy) a serial bottleneck. The
-//! [`FrameSplitter`] replaces that with the cheapest thing that can still
-//! route: it runs the *same* idle/SOF/gap-skip state machine as the
-//! framer (same scans, same lead-in trim, same close condition), but
-//! instead of assembling windows it emits [`RawSegment`] descriptors —
-//! zero-copy `Arc` spans of the chunks a frame touches (an owned copy
-//! only for frames spanning three or more chunks) — and peeks the
-//! claimed source address for shard routing. The worker that receives a segment
-//! re-frames it locally with `StreamFramer::reset_to(base)` +
-//! `push_into`, which reproduces the global framer's window byte-for-byte
-//! because a framer's state immediately after a close is exactly the
-//! reset state, and framer output is chunking-invariant.
+//! The [`FrameSplitter`] runs the framer's boundary state machine
+//! ([`Boundaries`], shared with [`crate::StreamFramer`]) over borrowed
+//! (`Arc`) chunks and emits each frame as a [`RawSegment`]: zero-copy
+//! spans of the chunks the frame touches, plus an owned copy only for
+//! frames spanning three or more chunks. A segment *is* the frame's
+//! window — `head ++ mid ++ tail` at `base` is bit-identical to the
+//! window `StreamFramer` emits for the same frame — so a worker scores it
+//! as is: it borrows the tail when the frame closed in the chunk it
+//! started in and copies the parts together otherwise. The two framers
+//! differ only in where retained samples live: `StreamFramer` copies them
+//! into an owned buffer, the splitter keeps the previous chunk's `Arc`.
 //!
-//! Routing determinism: the SA peek always decodes exactly the slice
-//! `stream[sof..=close]` — never a prefix of an unclosed frame — so the
-//! routed shard for every frame is a pure function of the stream,
-//! independent of how the stream was chunked. When a frame closes inside
-//! the chunk it arrived in, the peek borrows the chunk directly; only
-//! frames that straddle a chunk boundary are assembled (once, into a
-//! reusable scratch) before decoding.
+//! Routing determinism: the SA peek always decodes the frame from its SOF
+//! on, inside exactly the closed segment — never a prefix of an unclosed
+//! frame — so the routed shard for every frame is a pure function of the
+//! stream, independent of how the stream was chunked. The peek borrows
+//! whichever part holds the arbitration prefix; only prefixes that
+//! straddle a chunk boundary are assembled (once, into a reusable scratch)
+//! before decoding.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use vprofile::EdgeSetExtractor;
+use vprofile::{EdgeSetExtractor, VProfileConfig};
 
-use crate::scan;
+use crate::framer::{Boundaries, Retained};
 
 /// A borrowed range of a shared sample chunk.
 #[derive(Debug, Clone)]
-pub(crate) struct ChunkSpan {
+struct ChunkSpan {
     /// The chunk the span borrows; shared by every segment touching it.
-    pub chunk: Arc<[f64]>,
+    chunk: Arc<[f64]>,
     /// Start of the range (inclusive).
-    pub start: usize,
+    start: usize,
     /// End of the range (exclusive).
-    pub end: usize,
+    end: usize,
 }
 
 impl ChunkSpan {
     /// The spanned samples.
-    pub fn as_slice(&self) -> &[f64] {
+    fn as_slice(&self) -> &[f64] {
         self.chunk.get(self.start..self.end).unwrap_or(&[])
     }
 
@@ -52,98 +50,174 @@ impl ChunkSpan {
     }
 }
 
-/// One frame's worth of raw samples, as routed by the splitter: an owned
-/// `head` only for frames spanning three or more chunks, a zero-copy
-/// `mid` span of the previous chunk when the frame straddles one
-/// boundary, and the in-chunk `tail` span. `base` is the absolute stream
-/// position of the first sample (`head`, then `mid`, then the tail), so
-/// a worker can `reset_to(base)` and re-frame the segment with exact
-/// positions.
+/// One frame's window, as routed by the splitter: an owned `head` only
+/// for frames spanning three or more chunks, a zero-copy `mid` span of
+/// the previous chunk when the frame straddles a boundary, and the
+/// in-chunk `tail` span. `head ++ mid ++ tail` is the window and `base`
+/// the absolute stream position of its first sample.
 #[derive(Debug, Clone)]
 pub(crate) struct RawSegment {
     /// Samples owned from chunks older than `mid` (only frames spanning
     /// three or more chunks pay this copy). Almost always empty.
-    pub head: Vec<f64>,
+    head: Vec<f64>,
     /// Retained span of the previous chunk (trimmed idle lead-in and any
     /// frame body), shared zero-copy; `None` when the frame closed in the
     /// chunk it started in.
-    pub mid: Option<ChunkSpan>,
+    mid: Option<ChunkSpan>,
     /// The in-chunk range; its last sample is the one that completed the
-    /// closing idle gap.
-    pub tail: ChunkSpan,
-    /// Absolute stream position of the segment's first sample.
+    /// closing idle gap (empty for the flushed frame at end of stream).
+    tail: ChunkSpan,
+    /// Absolute stream position of the window's first sample.
     pub base: u64,
     /// Claimed source address peeked from the arbitration field, `0xFF`
     /// (the J1939 global address) when it cannot be decoded.
     pub sa: u8,
-    /// `true` for the final flushed segment, whose frame never saw its
-    /// closing gap: the worker must `flush()` its framer after pushing.
-    pub open_tail: bool,
 }
 
 impl RawSegment {
-    /// The previous-chunk sample range (empty when the segment has none).
-    pub fn mid_slice(&self) -> &[f64] {
-        self.mid.as_ref().map_or(&[], ChunkSpan::as_slice)
+    /// The whole window, borrowed when it lies in one part (the frame
+    /// closed in the chunk it started in) and copied into `scratch`
+    /// otherwise.
+    // xtask: hot-path
+    pub fn window<'a>(&'a self, scratch: &'a mut Vec<f64>) -> &'a [f64] {
+        self.slice(0..usize::MAX, scratch)
     }
 
-    /// The in-chunk sample range (empty for a flushed segment).
-    pub fn tail_slice(&self) -> &[f64] {
-        self.tail.as_slice()
+    /// The window samples in `range` (clamped to the window), borrowed
+    /// when they lie in one part and copied into `scratch` otherwise.
+    // xtask: hot-path
+    fn slice<'a>(&'a self, range: Range<usize>, scratch: &'a mut Vec<f64>) -> &'a [f64] {
+        let mut first: &[f64] = &[];
+        let mut copied = false;
+        let mut offset = 0usize;
+        let mid = self.mid.as_ref().map_or(&[][..], ChunkSpan::as_slice);
+        for part in [self.head.as_slice(), mid, self.tail.as_slice()] {
+            let start = offset;
+            offset += part.len();
+            let lo = range.start.clamp(start, offset) - start;
+            let hi = range.end.clamp(start, offset) - start;
+            let piece = part.get(lo..hi).unwrap_or(&[]);
+            if piece.is_empty() {
+                continue;
+            }
+            if first.is_empty() {
+                first = piece;
+                continue;
+            }
+            if !copied {
+                scratch.clear();
+                scratch.extend_from_slice(first);
+                copied = true;
+            }
+            scratch.extend_from_slice(piece);
+        }
+        if copied {
+            scratch
+        } else {
+            first
+        }
     }
 }
 
-/// Splits raw sample chunks into per-frame [`RawSegment`]s, mirroring
-/// [`crate::StreamFramer`]'s state machine without assembling windows.
+/// The splitter's retained samples: an owned carry from chunks before
+/// the previous one, then the previous chunk's retained span, zero-copy.
+#[derive(Debug, Default)]
+struct SpanCarry {
+    /// Owned samples from chunks before `prev` (a frame spanning three or
+    /// more chunks).
+    carry: Vec<f64>,
+    /// Retained span of the previous chunk, held via its `Arc`.
+    prev: Option<ChunkSpan>,
+}
+
+impl Retained for SpanCarry {
+    fn len(&self) -> usize {
+        self.carry.len() + self.prev.as_ref().map_or(0, ChunkSpan::len)
+    }
+
+    fn trim_front(&mut self, n: usize) {
+        let from_carry = n.min(self.carry.len());
+        self.carry.drain(..from_carry);
+        if let Some(prev) = &mut self.prev {
+            prev.start += (n - from_carry).min(prev.len());
+            if prev.len() == 0 {
+                self.prev = None;
+            }
+        }
+    }
+}
+
+impl SpanCarry {
+    /// Hands everything retained off as the front of a segment ending in
+    /// `tail`, and peeks the segment's SA from its SOF on.
+    // xtask: hot-path
+    fn seal(&mut self, tail: ChunkSpan, base: u64, sof: usize, peek: &mut SaPeek) -> RawSegment {
+        let mut segment = RawSegment {
+            head: std::mem::take(&mut self.carry),
+            mid: self.prev.take(),
+            tail,
+            base,
+            sa: 0xFF,
+        };
+        segment.sa = peek.sa(&segment, sof);
+        segment
+    }
+}
+
+/// The shard-routing probe: decodes a segment's claimed SA from the
+/// arbitration prefix of its window.
+#[derive(Debug)]
+struct SaPeek {
+    peeker: EdgeSetExtractor,
+    /// Samples read from SOF on. The peek walk reads at most the frame's
+    /// arbitration prefix: 31 unstuffed bits plus worst-case stuffing
+    /// stay under 41 sampled bits, and resync only ever moves the cursor
+    /// backward, so a 64-bit cap can never change the walk's outcome. It
+    /// bounds the assembly of prefixes that straddle a chunk boundary.
+    cap: usize,
+    /// Reusable assembly buffer for straddling prefixes; grows to the
+    /// largest prefix and stays.
+    scratch: Vec<f64>,
+}
+
+impl SaPeek {
+    /// The SA claimed by the frame whose SOF sits `sof` samples into the
+    /// segment's window, `0xFF` when it cannot be decoded.
+    // xtask: hot-path
+    fn sa(&mut self, segment: &RawSegment, sof: usize) -> u8 {
+        let prefix = segment.slice(sof..sof.saturating_add(self.cap), &mut self.scratch);
+        self.peeker.peek_sa(prefix).map_or(0xFF, |sa| sa.raw())
+    }
+}
+
+/// Splits raw sample chunks into per-frame [`RawSegment`]s with the
+/// framer's [`Boundaries`] state machine, retaining samples zero-copy.
 #[derive(Debug)]
 pub(crate) struct FrameSplitter {
-    /// Samples per bit.
-    bit_width: f64,
-    /// Dominant/recessive decision threshold (ADC code units).
-    threshold: f64,
-    /// Idle gap, in bits, that closes a frame (same as the framer's).
-    end_gap_bits: f64,
-    /// Leading idle samples retained before SOF.
-    lead_in: usize,
-    /// Owned samples from chunks before `prev` (a frame spanning three
-    /// or more chunks); mirrors the front of the framer's internal buffer.
-    carry: Vec<f64>,
-    /// Retained span of the previous chunk, held zero-copy via its `Arc`.
-    /// Together `carry + prev + [span_start..]` mirror the framer's
-    /// internal buffer exactly (same lead-in trim algebra).
-    prev: Option<ChunkSpan>,
-    /// Offset of the open frame's SOF from the segment start, if a frame
-    /// is open. Fixed once in-frame: nothing is trimmed after SOF.
-    sof_seg: Option<usize>,
-    /// Length of the current trailing recessive run, in samples.
-    recessive_run: usize,
-    /// Total samples consumed (absolute stream position).
-    consumed: u64,
-    /// Reusable assembly buffer for SA peeks on boundary-straddling
-    /// frames; grows to the largest straddling frame and stays.
-    peek_scratch: Vec<f64>,
+    /// The boundary state machine shared with `StreamFramer`.
+    bounds: Boundaries,
+    /// Samples retained from earlier chunks.
+    retained: SpanCarry,
+    /// The SA probe run on every closed segment.
+    peek: SaPeek,
 }
 
 impl FrameSplitter {
     /// Creates a splitter with the same geometry as
-    /// `StreamFramer::new(bit_width, threshold)`.
+    /// `StreamFramer::new(config.bit_width_samples, config.bit_threshold)`.
     ///
     /// # Panics
     ///
-    /// Panics if `bit_width < 2.0` samples.
-    pub fn new(bit_width: f64, threshold: f64) -> Self {
-        assert!(bit_width >= 2.0, "need at least 2 samples per bit");
+    /// Panics if the bit is narrower than 2 samples.
+    pub fn new(config: VProfileConfig) -> Self {
         FrameSplitter {
-            bit_width,
-            threshold,
-            end_gap_bits: 8.0,
-            lead_in: (2.0 * bit_width) as usize,
-            carry: Vec::new(),
-            prev: None,
-            sof_seg: None,
-            recessive_run: 0,
-            consumed: 0,
-            peek_scratch: Vec::new(),
+            bounds: Boundaries::new(config.bit_width_samples, config.bit_threshold),
+            retained: SpanCarry::default(),
+            peek: SaPeek {
+                cap: (64.0 * config.bit_width_samples) as usize,
+                peeker: EdgeSetExtractor::new(config),
+                scratch: Vec::new(),
+            },
         }
     }
 
@@ -151,223 +225,52 @@ impl FrameSplitter {
     /// frame that closes inside it. Segments borrow `chunk` via `Arc`;
     /// cross-chunk state is carried internally.
     // xtask: hot-path
-    pub fn split_chunk(
-        &mut self,
-        chunk: &Arc<[f64]>,
-        peeker: &EdgeSetExtractor,
-        out: &mut Vec<RawSegment>,
-    ) {
-        let samples: &[f64] = chunk;
-        let end_gap = (self.end_gap_bits * self.bit_width) as usize;
-        let mut i = 0usize;
-        // Chunk index where the retained (not-yet-carried) span begins.
-        let mut span_start = 0usize;
-        while i < samples.len() {
-            if self.sof_seg.is_none() {
-                // Idle: find the SOF, keeping only a lead-in tail of the
-                // idle span — the same trim the framer applies to its
-                // buffer, expressed over carry + in-chunk span.
-                let sof_off = scan::find_dominant(&samples[i..], self.threshold);
-                let idle_len = sof_off.unwrap_or(samples.len() - i);
-                self.consumed += idle_len as u64;
-                let in_chunk = i + idle_len - span_start;
-                let total = self.retained_len() + in_chunk;
-                if total > self.lead_in {
-                    // Trim front-first: the owned carry, then the
-                    // previous-chunk span, then the in-chunk span.
-                    let mut excess = total - self.lead_in;
-                    let from_carry = excess.min(self.carry.len());
-                    if from_carry == self.carry.len() {
-                        self.carry.clear();
-                    } else {
-                        self.carry.drain(..from_carry);
-                    }
-                    excess -= from_carry;
-                    if excess > 0 {
-                        if let Some(prev) = &mut self.prev {
-                            let from_prev = excess.min(prev.len());
-                            prev.start += from_prev;
-                            excess -= from_prev;
-                            if prev.len() == 0 {
-                                self.prev = None;
-                            }
-                        }
-                    }
-                    span_start += excess;
-                }
-                i += idle_len;
-                if sof_off.is_none() {
-                    break; // chunk was pure idle; retain below
-                }
-                self.sof_seg = Some(self.retained_len() + (i - span_start));
-                self.recessive_run = 0;
-            }
-            // In frame: the framer's gap-skip edge search, verbatim — one
-            // fused forward block pass that finds where the closing idle
-            // gap completes, or reports the trailing recessive run.
-            let rel = &samples[i..];
-            match scan::gap_close(rel, self.threshold, end_gap, self.recessive_run) {
-                Ok(k) => {
-                    // Frame closed: peek the SA on exactly
-                    // `stream[sof..=close]`, then hand the carry off as the
-                    // segment head and share the chunk as its tail.
-                    self.consumed += (k + 1) as u64;
-                    let tail_end = i + k + 1;
-                    let sof = self.sof_seg.take().unwrap_or(0);
-                    let sa = self.peek_frame_sa(peeker, samples, span_start, tail_end, sof);
-                    let head = std::mem::take(&mut self.carry);
-                    let mid = self.prev.take();
-                    let seg_len = head.len()
-                        + mid.as_ref().map_or(0, ChunkSpan::len)
-                        + (tail_end - span_start);
-                    out.push(RawSegment {
-                        head,
-                        mid,
-                        tail: ChunkSpan {
-                            // xtask: allow(hot-path-alloc): Arc refcount bump shares the chunk, no heap allocation
-                            chunk: Arc::clone(chunk),
-                            start: span_start,
-                            end: tail_end,
-                        },
-                        base: self.consumed - seg_len as u64,
-                        sa,
-                        open_tail: false,
-                    });
-                    self.recessive_run = 0;
-                    i = tail_end;
-                    span_start = tail_end;
-                }
-                Err(run_out) => {
-                    // Chunk ends mid-frame: carry the trailing recessive
-                    // run and materialize below.
-                    self.recessive_run = run_out;
-                    self.consumed += rel.len() as u64;
-                    i = samples.len();
-                }
-            }
-        }
+    pub fn split_chunk(&mut self, chunk: &Arc<[f64]>, out: &mut Vec<RawSegment>) {
+        let peek = &mut self.peek;
+        let keep = self
+            .bounds
+            .scan_chunk(chunk, &mut self.retained, |retained, closed| {
+                let tail = ChunkSpan {
+                    // xtask: allow(hot-path-alloc): Arc refcount bump shares the chunk, no heap allocation
+                    chunk: Arc::clone(chunk),
+                    start: closed.span.start,
+                    end: closed.span.end,
+                };
+                out.push(retained.seal(tail, closed.base, closed.sof, peek));
+            });
         // Retain this chunk's suffix zero-copy; a still-retained previous
         // chunk (the open frame now spans a third chunk) folds into the
         // owned carry first, preserving sample order.
-        if span_start < samples.len() {
-            if let Some(prev) = self.prev.take() {
-                self.carry.extend_from_slice(prev.as_slice());
+        if keep < chunk.len() {
+            if let Some(prev) = self.retained.prev.take() {
+                self.retained.carry.extend_from_slice(prev.as_slice());
             }
-            self.prev = Some(ChunkSpan {
+            self.retained.prev = Some(ChunkSpan {
                 // xtask: allow(hot-path-alloc): Arc::clone bumps a refcount, it does not allocate
                 chunk: Arc::clone(chunk),
-                start: span_start,
-                end: samples.len(),
+                start: keep,
+                end: chunk.len(),
             });
         }
     }
 
-    /// Samples retained from earlier chunks (owned carry plus the
-    /// previous-chunk span).
-    fn retained_len(&self) -> usize {
-        self.carry.len() + self.prev.as_ref().map_or(0, ChunkSpan::len)
-    }
-
-    /// Flushes a trailing open frame as a head-only segment (the worker
-    /// completes it with `StreamFramer::flush`). `None` when idle.
+    /// Flushes a trailing open frame, whose closing gap never arrived, as
+    /// a segment of everything retained. `None` when idle.
     // xtask: cold
-    pub fn flush(&mut self, peeker: &EdgeSetExtractor) -> Option<RawSegment> {
-        let sof = self.sof_seg.take()?;
-        // Fold the retained previous-chunk span into the owned carry so
-        // the flushed segment is self-contained in `head`.
-        if let Some(prev) = self.prev.take() {
-            self.carry.extend_from_slice(prev.as_slice());
-        }
-        let sa = self
-            .carry
-            .get(sof..)
-            .and_then(|frame| peeker.peek_sa(frame).ok())
-            .map(|sa| sa.raw())
-            .unwrap_or(0xFF);
-        let head = std::mem::take(&mut self.carry);
-        self.recessive_run = 0;
-        Some(RawSegment {
-            base: self.consumed - head.len() as u64,
-            head,
-            mid: None,
-            tail: ChunkSpan {
-                chunk: Arc::from(Vec::new()),
-                start: 0,
-                end: 0,
-            },
-            sa,
-            open_tail: true,
-        })
+    pub fn flush(&mut self) -> Option<RawSegment> {
+        let (base, sof) = self.bounds.flush(self.retained.len())?;
+        let tail = ChunkSpan {
+            chunk: Arc::from(Vec::new()),
+            start: 0,
+            end: 0,
+        };
+        Some(self.retained.seal(tail, base, sof, &mut self.peek))
     }
 
     /// Total samples consumed so far.
     #[cfg(test)]
     pub fn samples_consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Decodes the claimed SA from exactly `segment[sof..close]` — the
-    /// frame slice — borrowing the chunk when the SOF sits inside it and
-    /// assembling into the reusable scratch only for straddling frames.
-    // xtask: hot-path
-    fn peek_frame_sa(
-        &mut self,
-        peeker: &EdgeSetExtractor,
-        samples: &[f64],
-        span_start: usize,
-        tail_end: usize,
-        sof: usize,
-    ) -> u8 {
-        let carry_len = self.carry.len();
-        let retained = self.retained_len();
-        // The peek walk reads at most the frame's arbitration prefix: 31
-        // unstuffed bits plus worst-case stuffing stay under 41 sampled
-        // bits, and resync only ever moves the cursor backward, so a
-        // 64-bit cap can never change the walk's outcome. This bounds the
-        // scratch assembly for boundary-straddling frames to the prefix
-        // instead of the whole window.
-        let cap = (64.0 * self.bit_width) as usize;
-        let frame: &[f64] = if sof >= retained {
-            samples
-                .get(span_start + (sof - retained)..tail_end)
-                .unwrap_or(&[])
-        } else if let Some(prefix) = self
-            .prev
-            .as_ref()
-            .filter(|_| sof >= carry_len)
-            .and_then(|prev| prev.as_slice().get(sof - carry_len..sof - carry_len + cap))
-        {
-            // The whole prefix sits inside the previous chunk's span:
-            // peek it in place, no assembly.
-            prefix
-        } else {
-            // SOF sits in retained samples: assemble carry-suffix +
-            // previous-chunk span + in-chunk span (at most once per
-            // boundary-straddling frame, into the reusable scratch),
-            // capped to the prefix the walk can actually read.
-            self.peek_scratch.clear();
-            if sof < carry_len {
-                let piece = self.carry.get(sof..).unwrap_or(&[]);
-                self.peek_scratch
-                    .extend_from_slice(&piece[..piece.len().min(cap)]);
-                if let Some(prev) = &self.prev {
-                    let rem = cap - self.peek_scratch.len();
-                    let piece = prev.as_slice();
-                    self.peek_scratch
-                        .extend_from_slice(&piece[..piece.len().min(rem)]);
-                }
-            } else if let Some(prev) = &self.prev {
-                let piece = prev.as_slice().get(sof - carry_len..).unwrap_or(&[]);
-                self.peek_scratch
-                    .extend_from_slice(&piece[..piece.len().min(cap)]);
-            }
-            let rem = cap.saturating_sub(self.peek_scratch.len());
-            let piece = samples.get(span_start..tail_end).unwrap_or(&[]);
-            self.peek_scratch
-                .extend_from_slice(&piece[..piece.len().min(rem)]);
-            &self.peek_scratch
-        };
-        peeker.peek_sa(frame).map(|sa| sa.raw()).unwrap_or(0xFF)
+        self.bounds.consumed()
     }
 }
 
@@ -385,40 +288,29 @@ mod tests {
         out
     }
 
-    fn peeker() -> EdgeSetExtractor {
+    fn config() -> VProfileConfig {
         // 2 MS/s at 500 kbit/s → 4 samples/bit, matching the test streams.
         let adc = vprofile_analog::AdcConfig {
             sample_rate_hz: 2e6,
             ..vprofile_analog::AdcConfig::vehicle_b()
         };
-        EdgeSetExtractor::new(vprofile::VProfileConfig::for_adc(&adc, 500_000))
+        VProfileConfig::for_adc(&adc, 500_000)
     }
 
-    /// Re-frames one segment the way a worker does and returns the window.
-    fn reframe(seg: &RawSegment, framer: &mut StreamFramer) -> Vec<(u64, Vec<f64>)> {
-        framer.reset_to(seg.base);
-        let mut windows = Vec::new();
-        if !seg.head.is_empty() {
-            framer.push_into(&seg.head, &mut windows);
+    /// Splits `s` in `chunk_len`-sample chunks, flushing at the end.
+    fn split(s: &[f64], chunk_len: usize) -> (FrameSplitter, Vec<RawSegment>) {
+        let mut splitter = FrameSplitter::new(config());
+        let mut segments = Vec::new();
+        for chunk in s.chunks(chunk_len) {
+            let arc: Arc<[f64]> = chunk.to_vec().into();
+            splitter.split_chunk(&arc, &mut segments);
         }
-        let mid = seg.mid_slice();
-        if !mid.is_empty() {
-            framer.push_into(mid, &mut windows);
-        }
-        let tail = seg.tail_slice();
-        if !tail.is_empty() {
-            framer.push_into(tail, &mut windows);
-        }
-        if seg.open_tail {
-            if let Some(window) = framer.flush() {
-                windows.push(window);
-            }
-        }
-        windows
+        segments.extend(splitter.flush());
+        (splitter, segments)
     }
 
     #[test]
-    fn segments_reframe_to_the_reference_windows_for_every_chunking() {
+    fn segments_are_the_reference_windows_for_every_chunking() {
         let bits = [false, true, false, false, true, true, false];
         let mut s = Vec::new();
         for _ in 0..4 {
@@ -427,33 +319,29 @@ mod tests {
         s.extend(stream(7, &[false, true, false]));
         // Note: the stream deliberately ends mid-frame to exercise flush.
 
-        let mut reference = StreamFramer::new(4.0, 1500.0);
+        let config = config();
+        let mut reference = StreamFramer::new(config.bit_width_samples, config.bit_threshold);
         let mut expected = reference.push(&s);
         expected.extend(reference.flush());
 
-        let peeker = peeker();
         for chunk_len in [1, 3, 7, 16, 64, 1000, s.len()] {
-            let mut splitter = FrameSplitter::new(4.0, 1500.0);
-            let mut segments = Vec::new();
-            for chunk in s.chunks(chunk_len) {
-                let arc: Arc<[f64]> = chunk.to_vec().into();
-                splitter.split_chunk(&arc, &peeker, &mut segments);
-            }
-            segments.extend(splitter.flush(&peeker));
+            let (splitter, segments) = split(&s, chunk_len);
             assert_eq!(splitter.samples_consumed(), s.len() as u64);
+            assert_eq!(segments.len(), expected.len(), "chunk_len {chunk_len}");
 
-            let mut framer = StreamFramer::new(4.0, 1500.0);
-            let mut got = Vec::new();
-            for seg in &segments {
-                let windows = reframe(seg, &mut framer);
-                assert_eq!(
-                    windows.len(),
-                    1,
-                    "chunk_len {chunk_len}: every segment holds exactly one frame"
+            let mut scratch = Vec::new();
+            for (seg, (pos, window)) in segments.iter().zip(&expected) {
+                assert_eq!(seg.base, *pos, "chunk_len {chunk_len}");
+                let got = seg.window(&mut scratch);
+                assert!(
+                    got.len() == window.len()
+                        && got
+                            .iter()
+                            .zip(window)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "chunk_len {chunk_len}: segment at {pos} differs from the reference window"
                 );
-                got.extend(windows);
             }
-            assert_eq!(got, expected, "chunk_len {chunk_len}");
         }
     }
 
@@ -465,16 +353,9 @@ mod tests {
             s.extend(stream(40, &bits));
         }
         s.extend(vec![100.0; 64]);
-        let peeker = peeker();
         let mut reference: Option<Vec<u8>> = None;
         for chunk_len in [2, 5, 33, s.len()] {
-            let mut splitter = FrameSplitter::new(4.0, 1500.0);
-            let mut segments = Vec::new();
-            for chunk in s.chunks(chunk_len) {
-                let arc: Arc<[f64]> = chunk.to_vec().into();
-                splitter.split_chunk(&arc, &peeker, &mut segments);
-            }
-            segments.extend(splitter.flush(&peeker));
+            let (_, segments) = split(&s, chunk_len);
             let sas: Vec<u8> = segments.iter().map(|seg| seg.sa).collect();
             match &reference {
                 None => reference = Some(sas),
@@ -485,23 +366,23 @@ mod tests {
 
     #[test]
     fn pure_idle_streams_emit_nothing_and_bound_the_carry() {
-        let peeker = peeker();
-        let mut splitter = FrameSplitter::new(4.0, 1500.0);
+        let mut splitter = FrameSplitter::new(config());
         let mut segments = Vec::new();
         for _ in 0..50 {
             let arc: Arc<[f64]> = vec![100.0; 1000].into();
-            splitter.split_chunk(&arc, &peeker, &mut segments);
+            splitter.split_chunk(&arc, &mut segments);
         }
         assert!(segments.is_empty());
-        assert!(splitter.flush(&peeker).is_none());
-        assert!(splitter.retained_len() <= splitter.lead_in + 1);
+        assert!(splitter.flush().is_none());
+        // The lead-in is 2 bits at 4 samples/bit.
+        assert!(splitter.retained.len() <= 8 + 1);
     }
 }
 
 #[cfg(test)]
 mod perf_probe {
     use super::*;
-    use vprofile::VProfileConfig;
+    use crate::scan;
     use vprofile_vehicle::scenario::stress_fleet;
     use vprofile_vehicle::CaptureConfig;
 
@@ -513,7 +394,6 @@ mod perf_probe {
             .capture(&CaptureConfig::default().with_frames(500).with_seed(41))
             .expect("capture");
         let config = VProfileConfig::for_adc(capture.adc(), capture.bit_rate_bps());
-        let peeker = EdgeSetExtractor::new(config.clone());
         let mut stream = Vec::new();
         for frame in capture.frames() {
             stream.extend_from_slice(&frame.trace.to_f64());
@@ -522,7 +402,7 @@ mod perf_probe {
         let reps = 20; // ~10k frames
         let mut best = f64::INFINITY;
         for _ in 0..5 {
-            let mut splitter = FrameSplitter::new(config.bit_width_samples, config.bit_threshold);
+            let mut splitter = FrameSplitter::new(config.clone());
             let mut out = Vec::new();
             let mut frames = 0usize;
             let mut spent = std::time::Duration::ZERO;
@@ -533,7 +413,7 @@ mod perf_probe {
                     let warm: f64 = chunk.iter().sum();
                     std::hint::black_box(warm);
                     let t = std::time::Instant::now();
-                    splitter.split_chunk(chunk, &peeker, &mut out);
+                    splitter.split_chunk(chunk, &mut out);
                     spent += t.elapsed();
                     frames += out.len();
                     out.clear();
@@ -631,7 +511,6 @@ mod perf_probe {
             let ns = spent.as_nanos() as f64 / frames as f64;
             best = best.min(ns);
             eprintln!("scans only: {ns:.0} ns/frame over {frames} frames");
-            frames = 0;
         }
         eprintln!("SCANS BEST {best:.0} ns/frame");
     }

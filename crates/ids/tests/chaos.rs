@@ -337,6 +337,56 @@ fn brownout_degrades_instead_of_lying() {
     assert!(stats.normals > 0, "post-recovery traffic must score clean");
 }
 
+/// Breaker recovery releases only what the breaker trip quarantined: an
+/// SA that was already quarantined (for example by the poisoning drift
+/// guard) stays quarantined through an unrelated brownout trip and
+/// recovery.
+#[test]
+fn breaker_recovery_keeps_an_earlier_quarantine() {
+    let (mut engine, vehicle, _) = chaos_setup(4, 192, 2003);
+    let poisoned = vehicle.ecus()[0].schedules[0].sa.raw();
+    engine.quarantine_sa(poisoned);
+    let power = PowerState::Brownout {
+        start_s: 0.25,
+        ramp_s: 0.02,
+        hold_s: 0.15,
+        depth_v: 0.58 * Environment::ENGINE_RUNNING_V,
+    };
+    let browned = chaos_brownout_capture(
+        &vehicle,
+        192,
+        2003,
+        &power,
+        &[Fault::Impulse {
+            prob: 0.0004,
+            magnitude_codes: 1400.0,
+        }],
+    )
+    .expect("brownout capture");
+
+    let mut pipeline =
+        IdsPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(1));
+    for chunk in stream_of(&browned).chunks(65_536) {
+        pipeline.feed(chunk.to_vec()).expect("feed");
+    }
+    pipeline.close_input();
+    let (engines, stats) = pipeline.close().expect("clean close");
+
+    assert!(stats.degraded > 0, "the breaker must trip: {stats:?}");
+    assert_eq!(stats.breaker, vec![BreakerState::Closed], "and recover");
+    let quarantined: Vec<u8> = engines[0].quarantined().iter().collect();
+    assert_eq!(
+        quarantined,
+        vec![poisoned],
+        "recovery must release the breaker's SAs and keep the earlier quarantine"
+    );
+    assert_eq!(
+        stats.quarantined_sas,
+        vec![1],
+        "the gauge matches the engine"
+    );
+}
+
 #[test]
 fn drop_oldest_sheds_segments_but_keeps_the_identity() {
     let (engine, _, capture) = chaos_setup(4, 256, 2004);

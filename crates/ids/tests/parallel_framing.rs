@@ -1,8 +1,8 @@
-//! Property suite for the split-route-frame topology.
+//! Property suite for the split-route-score topology.
 //!
-//! The router no longer frames anything: it cuts raw sample segments at
-//! arbitrary chunk boundaries and the workers re-frame them on their own
-//! per-shard `StreamFramer`s. These properties pin the load-bearing
+//! The router frames the stream once: it cuts each frame out of arbitrary
+//! chunk boundaries as a zero-copy segment, and the workers score the
+//! segment as the frame's window. These properties pin the load-bearing
 //! invariant of that design: for every chunking of the input, every
 //! worker count, every shard seed, and across seeded chaos corruption and
 //! mid-stream worker restarts, the pipeline's ordered event stream is

@@ -16,7 +16,10 @@
 
 use vprofile::{EdgeSetExtractor, LabeledEdgeSet, Trainer, VProfileConfig};
 use vprofile_detector_core::{DetectionBackend, VProfileBackend};
-use vprofile_ids::{Backend, FusionConfig, FusionEngine, IdsEngine, UpdatePolicy};
+use vprofile_ids::{
+    Backend, BreakerState, FusionConfig, FusionEngine, IdsEngine, IdsPipeline, PipelineConfig,
+    UpdatePolicy,
+};
 use vprofile_vehicle::adversary::{update_poisoning_capture, AdversaryPlan};
 use vprofile_vehicle::{Capture, CaptureConfig, Vehicle};
 
@@ -204,6 +207,56 @@ fn poisoning_walk_is_quarantined_and_releases_cleanly() {
         "clean absorption must resume after release"
     );
     assert!(engine.quarantined().is_empty(), "no quarantine residue");
+}
+
+/// The drift guard trips the same way inside the sharded pipeline, with
+/// the circuit breaker closed throughout, and the per-shard
+/// `quarantined_sas` gauge reports it: the gauge follows every quarantine
+/// change, not only breaker transitions.
+#[test]
+fn pipeline_gauge_reports_drift_guard_quarantines() {
+    let (vehicle, _, backend, _) = trained_setup(700);
+    let victim_sa = vehicle.ecus()[0].schedules[0].sa;
+    let plan = AdversaryPlan::new(0, 0.3, 77);
+    let poison = update_poisoning_capture(&vehicle, &plan, 600).expect("poison capture");
+    let engine = IdsEngine::new(
+        backend.model().clone(),
+        2.0,
+        UpdatePolicy::every(1, usize::MAX),
+    )
+    .with_drift_guard(DRIFT_THRESHOLD);
+
+    let mut pipeline =
+        IdsPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(2));
+    let stream: Vec<f64> = poison
+        .frames()
+        .iter()
+        .flat_map(|frame| frame.trace.to_f64())
+        .collect();
+    for chunk in stream.chunks(8_192) {
+        pipeline.feed(chunk.to_vec()).expect("feed");
+    }
+    pipeline.close_input();
+    let (engines, stats) = pipeline.close().expect("clean close");
+
+    assert_eq!(stats.degraded, 0, "the breaker never trips: {stats:?}");
+    assert!(stats.breaker.iter().all(|&b| b == BreakerState::Closed));
+    assert!(
+        engines
+            .iter()
+            .any(|engine| engine.quarantined().contains(victim_sa.raw())),
+        "the drift guard must quarantine the poisoned SA inside the pipeline"
+    );
+    let gauge: usize = stats.quarantined_sas.iter().sum();
+    let held: usize = engines
+        .iter()
+        .map(|engine| engine.quarantined().len())
+        .sum();
+    assert!(
+        gauge > 0,
+        "the gauge must report the drift-guard quarantine"
+    );
+    assert_eq!(gauge, held, "gauge and closed engines agree");
 }
 
 /// Builds the ensemble counterpart of the single-backend setup: vProfile

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use vprofile_suite::analog::{Environment, FrameSynthesizer, TransceiverModel};
 use vprofile_suite::can::{DataFrame, J1939Id, Pgn, Priority, SourceAddress, WireFrame};
 use vprofile_suite::core::{EdgeSetExtractor, Trainer, VProfileConfig};
-use vprofile_suite::ids::{IdsEngine, IdsPipeline, UpdatePolicy};
+use vprofile_suite::ids::{IdsEngine, IdsEvent, IdsPipeline, PipelineConfig, UpdatePolicy};
 use vprofile_suite::vehicle::{CaptureConfig, Vehicle};
 
 fn trained(
@@ -146,6 +146,53 @@ fn stream_replay_matches_per_frame_replay() {
     assert_eq!(events.len(), take);
     for (event, &expected) in events.iter().zip(&per_frame) {
         assert_eq!(event.is_anomaly(), expected);
+    }
+}
+
+#[test]
+fn sharded_pipeline_matches_the_single_threaded_engine() {
+    // The pipeline frames the stream once, in its router, and workers
+    // score each routed segment as the window. At every worker count and
+    // chunking the events must be byte-identical to the single-threaded
+    // engine's. The chunk sizes cover the three ways a worker gets its
+    // window: frames spanning many 97-sample chunks (copied), frames
+    // straddling one 8 192-sample boundary, and frames inside one
+    // 65 536-sample chunk (borrowed).
+    let vehicle = Vehicle::vehicle_b(80);
+    let (model, capture) = trained(&vehicle, 900, 80);
+    let engine = IdsEngine::new(model, 2.0, UpdatePolicy::disabled());
+    let stream: Vec<f64> = capture
+        .frames()
+        .iter()
+        .take(200)
+        .flat_map(|frame| frame.trace.to_f64())
+        .collect();
+    assert!(stream.len() > 2 * 65_536, "several frames per large chunk");
+
+    let mut reference = engine.clone();
+    let mut expected = reference.process_samples(&stream);
+    expected.extend(reference.finish());
+    assert_eq!(expected.len(), 200);
+    let expected = serde_json::to_string(&expected).expect("serialize");
+
+    for workers in [1, 2, 4] {
+        for chunk_len in [97, 8_192, 65_536] {
+            let mut pipeline = IdsPipeline::spawn_sharded(
+                engine.clone(),
+                PipelineConfig::default().with_workers(workers),
+            );
+            for chunk in stream.chunks(chunk_len) {
+                pipeline.feed(chunk.to_vec()).expect("feed");
+            }
+            pipeline.close_input();
+            let events: Vec<IdsEvent> = pipeline.events().into_iter().collect();
+            pipeline.close().expect("clean close");
+            assert_eq!(
+                serde_json::to_string(&events).expect("serialize"),
+                expected,
+                "{workers} workers, {chunk_len}-sample chunks"
+            );
+        }
     }
 }
 
