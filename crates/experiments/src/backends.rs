@@ -1,8 +1,8 @@
 //! Online backend comparison: every [`DetectionBackend`] evaluated on the
 //! same capture, through the same streaming machinery.
 //!
-//! Two measurements per backend, mirroring how a deployment would compare
-//! candidates before a shadow-mode rollout:
+//! Three measurements per backend, mirroring how a deployment would
+//! audition a candidate before promoting it:
 //!
 //! * **detection quality** — the hijack-imitation test (§4.1's 20 %
 //!   SA-rewrite attack) scored per message through the backend's
@@ -11,20 +11,23 @@
 //!   false-positive rate;
 //! * **runtime behaviour** — the clean raw sample stream replayed through
 //!   a single-worker [`IdsPipeline`], yielding the per-stage wall-clock
-//!   breakdown ([`StageBreakdown`]) under each backend.
+//!   breakdown ([`StageBreakdown`]) under each backend;
+//! * **agreement with the primary** — the frames of that replay on which
+//!   the backend's anomaly/normal call differs from the vProfile row's,
+//!   matched by stream position.
 
 use crate::ConfusionMatrix;
 use std::collections::BTreeMap;
 use vprofile::{
     ClusterId, EdgeSetExtractor, LabeledEdgeSet, ScratchArena, Trainer, VProfileConfig,
-    VProfileError,
+    VProfileError, Verdict,
 };
 use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
 use vprofile_ids::{
-    Backend, FusionConfig, FusionEngine, FusionPipeline, IdsEngine, IdsPipeline, PipelineConfig,
-    PipelineError, ShadowPipeline, StageBreakdown, UpdatePolicy,
+    Backend, FusionConfig, FusionEngine, FusionPipeline, IdsEngine, IdsEvent, IdsPipeline,
+    PipelineConfig, PipelineError, StageBreakdown, UpdatePolicy,
 };
 use vprofile_vehicle::attack::{hijack_imitation_test, HIJACK_PROBABILITY};
 use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -82,10 +85,10 @@ pub struct BackendReport {
     pub frames: u64,
     /// Per-stage wall-clock attribution of the clean pipeline replay.
     pub stage_ns: StageBreakdown,
-    /// Disagreements with the vProfile primary when this backend rode the
-    /// clean replay as a passive shadow (0 for the primary itself and for
-    /// the fusion row, which *is* an ensemble).
-    pub shadow_disagreements: u64,
+    /// Frames of the clean replay that the vProfile primary scored and on
+    /// which this backend made the other anomaly/normal call (0 for the
+    /// primary itself).
+    pub primary_disagreements: u64,
 }
 
 /// Trains vProfile, Viden, Scission, and VoltageIDS on one clean capture
@@ -95,10 +98,9 @@ pub struct BackendReport {
 ///
 /// All rows see identical training data, identical attack messages, and
 /// the identical single-worker pipeline configuration, so the reports
-/// differ only in the detectors themselves. One extra shadow-mode replay
-/// (vProfile primary, the three baselines as passive shadows) supplies
-/// the per-shadow disagreement counts and the shadow-stage wall clock
-/// that the merger counts but previously never reported.
+/// differ only in the detectors themselves. Each row's disagreements
+/// with the vProfile row come from comparing the two replays' event
+/// streams by stream position.
 ///
 /// # Errors
 ///
@@ -122,6 +124,9 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
     }
 
     let mut reports = Vec::with_capacity(backends.len() + 1);
+    // The first replay's (vProfile's) events, which every row is
+    // compared against.
+    let mut primary: Option<Vec<IdsEvent>> = None;
     for backend in &mut backends {
         let name = backend.name();
         let mut confusion = ConfusionMatrix::new();
@@ -137,12 +142,18 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
 
         let engine =
             IdsEngine::with_backend(backend.clone(), config.clone(), UpdatePolicy::disabled());
-        let pipeline =
+        let mut pipeline =
             IdsPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(1));
         for chunk in stream.chunks(65_536) {
             pipeline.feed(chunk.to_vec())?;
         }
+        pipeline.close_input();
+        let events: Vec<IdsEvent> = pipeline.events().into_iter().collect();
         let (_, stats) = pipeline.close()?;
+        let primary_disagreements = primary
+            .as_deref()
+            .map_or(0, |primary| disagreements(primary, &events));
+        primary.get_or_insert(events);
 
         reports.push(BackendReport {
             backend: name,
@@ -152,34 +163,8 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
             false_positive_rate: clean_fpr(&stats),
             frames: stats.frames,
             stage_ns: stats.stage_ns,
-            shadow_disagreements: 0,
+            primary_disagreements,
         });
-    }
-
-    // Shadow-mode replay: the primary carries the three baselines as
-    // passive shadows, surfacing the merger's per-shadow disagreement
-    // counters and the shadow-stage clock in the report.
-    let primary = IdsEngine::with_backend(
-        backends[0].clone(),
-        config.clone(),
-        UpdatePolicy::disabled(),
-    );
-    let shadows: Vec<IdsEngine> = backends[1..]
-        .iter()
-        .map(|b| IdsEngine::with_backend(b.clone(), config.clone(), UpdatePolicy::disabled()))
-        .collect();
-    let shadow_pipeline =
-        ShadowPipeline::spawn(primary, shadows, PipelineConfig::default().with_workers(1));
-    for chunk in stream.chunks(65_536) {
-        shadow_pipeline.feed(chunk.to_vec())?;
-    }
-    let (_, shadow_stats) = shadow_pipeline.close()?;
-    reports[0].stage_ns.shadow_ns = shadow_stats.stage_ns.shadow_ns;
-    for (report, disagreements) in reports[1..]
-        .iter_mut()
-        .zip(&shadow_stats.shadow_disagreements)
-    {
-        report.shadow_disagreements = *disagreements;
     }
 
     // The fusion row: all four backends as first-class voters.
@@ -198,11 +183,16 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
         );
         confusion.record(message.is_attack, scored.verdict.is_anomaly());
     }
-    let pipeline = FusionPipeline::spawn(fusion, PipelineConfig::default().with_workers(1));
+    let mut pipeline = FusionPipeline::spawn(fusion, PipelineConfig::default().with_workers(1));
     for chunk in stream.chunks(65_536) {
         pipeline.feed(chunk.to_vec())?;
     }
+    pipeline.close_input();
+    let events: Vec<IdsEvent> = pipeline.events().into_iter().collect();
     let (_, stats) = pipeline.close()?;
+    let primary_disagreements = primary
+        .as_deref()
+        .map_or(0, |primary| disagreements(primary, &events));
     reports.push(BackendReport {
         backend: "fusion",
         confusion,
@@ -211,9 +201,34 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
         false_positive_rate: clean_fpr(&stats),
         frames: stats.frames,
         stage_ns: stats.stage_ns,
-        shadow_disagreements: 0,
+        primary_disagreements,
     });
     Ok(reports)
+}
+
+/// Frames the primary scored (extraction succeeded) on which the
+/// candidate made the other anomaly/normal call, matched by stream
+/// position. A candidate frame without a verdict (degraded, dropped or
+/// missing) counts as an anomaly call.
+fn disagreements(primary: &[IdsEvent], candidate: &[IdsEvent]) -> u64 {
+    let calls: BTreeMap<u64, bool> = candidate
+        .iter()
+        .map(|event| {
+            (
+                event.stream_pos(),
+                event.verdict().is_none_or(Verdict::is_anomaly),
+            )
+        })
+        .collect();
+    let disagreeing = primary
+        .iter()
+        .filter_map(IdsEvent::as_scored)
+        .filter(|scored| !scored.extraction_failed)
+        .filter(|scored| {
+            calls.get(&scored.stream_pos).copied().unwrap_or(true) != scored.verdict.is_anomaly()
+        })
+        .count();
+    disagreeing as u64
 }
 
 /// Anomaly rate over the scored frames of a clean replay.
@@ -239,8 +254,7 @@ pub fn backend_markdown(reports: &[BackendReport]) -> String {
                 r.frames.to_string(),
                 format!("{:.1}", r.stage_ns.extract_ns as f64 / 1e6),
                 format!("{:.1}", r.stage_ns.score_ns as f64 / 1e6),
-                format!("{:.1}", r.stage_ns.shadow_ns as f64 / 1e6),
-                r.shadow_disagreements.to_string(),
+                r.primary_disagreements.to_string(),
             ]
         })
         .collect();
@@ -253,8 +267,7 @@ pub fn backend_markdown(reports: &[BackendReport]) -> String {
             "frames",
             "extract (ms)",
             "score (ms)",
-            "shadow (ms)",
-            "shadow disagree",
+            "primary disagree",
         ],
         &rows,
     )
@@ -312,15 +325,20 @@ mod tests {
                 "{name}: pipeline replay must attribute scoring time"
             );
         }
-        assert!(
-            reports[0].stage_ns.shadow_ns > 0,
-            "the shadow replay must attribute shadow-stage time to the primary row"
-        );
         let table = backend_markdown(&reports);
         for name in names {
             assert!(table.contains(name), "table must list {name}:\n{table}");
         }
-        assert!(table.contains("shadow disagree"), "table: {table}");
+        assert!(table.contains("primary disagree"), "table: {table}");
+    }
+
+    /// Seed 29 is a capture on which voltage-ids disagrees with vProfile
+    /// on some frames, so a broken comparison shows.
+    #[test]
+    fn disagreements_with_the_primary_are_counted_by_stream_position() {
+        let reports = backend_comparison(29, 400).expect("comparison");
+        let counts: Vec<u64> = reports.iter().map(|r| r.primary_disagreements).collect();
+        assert_eq!(counts, [0, 0, 0, 3, 0], "{reports:?}");
     }
 
     /// ISSUE 8 acceptance: the fused verdict is at least as good as every

@@ -149,14 +149,19 @@ impl FusionEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `voters` is empty.
+    /// Panics unless `voters` holds 1 to 8 backends: per-frame voter
+    /// disagreements travel in the 8-bit [`FusionRecord::disagree_mask`].
     pub fn new(
         voters: Vec<Backend>,
         config: VProfileConfig,
         fusion: FusionConfig,
         policy: UpdatePolicy,
     ) -> Self {
-        assert!(!voters.is_empty(), "fusion needs at least one voter");
+        assert!(
+            (1..=8).contains(&voters.len()),
+            "fusion takes 1..=8 voters, got {}",
+            voters.len()
+        );
         let framer = StreamFramer::new(config.bit_width_samples, config.bit_threshold);
         let extractor = EdgeSetExtractor::new(config.clone());
         let core = FusionCore::new(voters.len(), fusion);
@@ -470,11 +475,9 @@ impl FusionEngine {
 
         let decision = self.core.fuse(sa.0, &self.scores);
 
+        // `new` caps the ensemble at 8 voters, one mask bit each.
         let mut disagree_mask = 0u8;
         for (index, slot) in self.scores.iter().enumerate() {
-            if index >= 8 {
-                break;
-            }
             if let Some(score) = slot {
                 if (*score >= 0.5) != decision.anomaly {
                     disagree_mask |= 1u8 << index;
@@ -586,8 +589,7 @@ fn representative_cluster(verdict: &Verdict) -> ClusterId {
 }
 
 /// A sharded pipeline whose workers each run a clone of a
-/// [`FusionEngine`] — the ensemble counterpart of
-/// [`crate::ShadowPipeline`].
+/// [`FusionEngine`]: the one way to run several engines on each frame.
 ///
 /// Fused verdicts drive the event stream, the circuit breaker, and the
 /// (drift-gated) online updates. Notable fusion frames — change-point
@@ -606,9 +608,8 @@ impl FusionPipeline {
     /// Spawns the sharded pipeline with a clone of `engine` per worker.
     pub fn spawn(engine: FusionEngine, config: PipelineConfig) -> Self {
         let ledger = Arc::new(DriftLedger::new());
-        let (inner, _shadow_rx, fusion_rx) = IdsPipeline::spawn_core(
+        let (inner, fusion_rx) = IdsPipeline::spawn_core(
             CoreEngine::Fused(Box::new(engine)),
-            Vec::new(),
             config,
             Some(Arc::clone(&ledger)),
         );
@@ -736,6 +737,19 @@ mod tests {
             );
             assert!(!event.is_degraded());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fusion takes 1..=8 voters, got 9")]
+    fn a_ninth_voter_is_refused() {
+        let (engine, _) = fixture();
+        let voter = engine.voters()[0].clone();
+        let _ = FusionEngine::new(
+            vec![voter; 9],
+            engine.config().clone(),
+            FusionConfig::default(),
+            UpdatePolicy::disabled(),
+        );
     }
 
     #[test]

@@ -34,9 +34,11 @@
 //! * backend-agnostic — the engine scores through a [`Backend`]
 //!   (enum-dispatched [`DetectionBackend`]), so the same framing, sharding,
 //!   supervision, and health machinery runs vProfile, Viden-style,
-//!   Scission-style, and VoltageIDS-style detectors interchangeably, and
-//!   [`ShadowPipeline`] evaluates candidate backends against live traffic
-//!   without letting them raise alarms.
+//!   Scission-style, and VoltageIDS-style detectors interchangeably.
+//!   [`FusionPipeline`] runs several backends on every frame as voters of
+//!   one verdict. To audition a candidate backend without letting it raise
+//!   alarms, feed the same chunks to a second [`IdsPipeline`] built on it
+//!   and compare the two event streams by [`IdsEvent::stream_pos`].
 //!
 //! # Example
 //!
@@ -80,7 +82,6 @@ mod pipeline;
 mod reorder;
 mod ring;
 pub mod scan;
-mod shadow;
 mod shard;
 mod splitter;
 
@@ -96,7 +97,6 @@ pub use health::{
 pub use period::{PeriodMonitor, PeriodVerdict};
 pub use pipeline::{IdsPipeline, PipelineConfig, PipelineError, PipelineStats, StageBreakdown};
 pub use reorder::ReorderBuffer;
-pub use shadow::{ShadowEvent, ShadowPipeline, ShadowVerdict};
 pub use shard::{stable_shard, stable_shard_seeded};
 pub use vprofile_detector_core::{
     BackendSnapshot, DetectionBackend, SnapshotError, VProfileBackend,

@@ -62,7 +62,6 @@ use crate::health::{
     BackpressurePolicy, BreakerState, DropReason, HealthConfig, HealthMonitor, WindowOutcome,
 };
 use crate::ring::SpscRing;
-use crate::shadow::{ShadowEvent, ShadowVerdict};
 use crate::splitter::{FrameSplitter, RawSegment};
 use crate::{stable_shard_seeded, IdsEngine, IdsEvent, ReorderBuffer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -421,14 +420,6 @@ pub struct PipelineStats {
     pub shard_failed: Vec<bool>,
     /// Number of SAs currently quarantined from online updates, per shard.
     pub quarantined_sas: Vec<usize>,
-    /// Frames that were also scored by shadow backends (zero unless the
-    /// pipeline was spawned through [`crate::ShadowPipeline`]).
-    // xtask: outside-frame-identity
-    pub shadow_frames: u64,
-    /// Frames on which each shadow backend's anomaly/normal call differed
-    /// from the primary's, indexed in shadow order.
-    // xtask: outside-frame-identity
-    pub shadow_disagreements: Vec<u64>,
     /// Frames scored through the fusion ensemble (zero unless the
     /// pipeline was spawned through [`crate::FusionPipeline`]). Counts
     /// fused frames, which already partition into the per-frame counters
@@ -473,8 +464,8 @@ pub struct StageBreakdown {
     /// Scoring — cache upkeep, nearest-cluster classification, and online
     /// update absorption — across all workers.
     pub score_ns: u64,
-    /// Shadow-backend scoring (extraction + classification for every
-    /// shadow engine), across all workers; zero without shadow mode.
+    /// Always 0; kept until the next benchmark change drops it from
+    /// perfbench's stage sum.
     pub shadow_ns: u64,
     /// Reorder-buffer pushes and the stats/emit critical sections in the
     /// merger thread.
@@ -488,7 +479,6 @@ struct StageClocks {
     frame: AtomicU64,
     extract: AtomicU64,
     score: AtomicU64,
-    shadow: AtomicU64,
     merge: AtomicU64,
 }
 
@@ -499,7 +489,7 @@ impl StageClocks {
             frame_ns: self.frame.load(Ordering::Relaxed),
             extract_ns: self.extract.load(Ordering::Relaxed),
             score_ns: self.score.load(Ordering::Relaxed),
-            shadow_ns: self.shadow.load(Ordering::Relaxed),
+            shadow_ns: 0,
             merge_ns: self.merge.load(Ordering::Relaxed),
         }
     }
@@ -512,16 +502,13 @@ struct SegmentItem {
     segment: RawSegment,
 }
 
-/// One event travelling from a worker to the merger. `shadow` is empty
-/// unless the pipeline runs shadow backends, so the non-shadow hot path
-/// stays allocation-free; `fusion` is `None` unless the core is a
-/// [`FusionEngine`] (the record itself is `Copy`, so attaching it costs
-/// no allocation either way).
+/// One event travelling from a worker to the merger. `fusion` is `None`
+/// unless the core is a [`FusionEngine`] (the record itself is `Copy`, so
+/// attaching it costs no allocation either way).
 struct ScoredItem {
     seq: u64,
     shard: usize,
     event: IdsEvent,
-    shadow: Vec<ShadowVerdict>,
     fusion: Option<FusionRecord>,
 }
 
@@ -707,20 +694,8 @@ impl IdsPipeline {
     /// stream deterministic and — when online updates are disabled —
     /// identical to a single-worker run.
     pub fn spawn_sharded(engine: IdsEngine, config: PipelineConfig) -> Self {
-        let (pipeline, _shadow_rx) = Self::spawn_with_shadows(engine, Vec::new(), config);
+        let (pipeline, _fusion_rx) = Self::spawn_core(CoreEngine::Single(engine), config, None);
         pipeline
-    }
-
-    /// Spawns the sharded pipeline with `shadows` scored alongside the
-    /// primary engine on every shard; used by [`crate::ShadowPipeline`].
-    pub(crate) fn spawn_with_shadows(
-        engine: IdsEngine,
-        shadows: Vec<IdsEngine>,
-        config: PipelineConfig,
-    ) -> (Self, Receiver<ShadowEvent>) {
-        let (pipeline, shadow_rx, _fusion_rx) =
-            Self::spawn_core(CoreEngine::Single(engine), shadows, config, None);
-        (pipeline, shadow_rx)
     }
 
     /// Spawns the sharded pipeline around any [`CoreEngine`] — the one
@@ -728,10 +703,9 @@ impl IdsPipeline {
     /// given, receives every notable fusion frame from the merger.
     pub(crate) fn spawn_core(
         engine: CoreEngine,
-        shadows: Vec<IdsEngine>,
         config: PipelineConfig,
         ledger: Option<Arc<DriftLedger>>,
-    ) -> (Self, Receiver<ShadowEvent>, Receiver<FusionEvent>) {
+    ) -> (Self, Receiver<FusionEvent>) {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -746,7 +720,6 @@ impl IdsPipeline {
         let queue = Arc::new(SampleQueue::new(high_water));
         let (event_tx, event_rx) = unbounded::<IdsEvent>();
         let (scored_tx, scored_rx) = unbounded::<ScoredItem>();
-        let (shadow_tx, shadow_rx) = unbounded::<ShadowEvent>();
         let (fusion_tx, fusion_rx) = unbounded::<FusionEvent>();
         let stats = Arc::new(Mutex::new(PipelineStats {
             shard_frames: vec![0; workers],
@@ -756,7 +729,6 @@ impl IdsPipeline {
             breaker: vec![BreakerState::Closed; workers],
             shard_failed: vec![false; workers],
             quarantined_sas: vec![0; workers],
-            shadow_disagreements: vec![0; shadows.len()],
             voter_disagreements: vec![0; engine.voter_count()],
             ..PipelineStats::default()
         }));
@@ -783,9 +755,8 @@ impl IdsPipeline {
                 health: config.health,
             };
             let worker_engine = engine.clone();
-            let worker_shadows = shadows.clone();
             worker_handles.push(std::thread::spawn(move || {
-                supervised_worker(worker_engine, worker_shadows, rt)
+                supervised_worker(worker_engine, rt)
             }));
         }
         // The router holds a scored sender only for its DropOldest shed
@@ -817,7 +788,6 @@ impl IdsPipeline {
             merger_loop(
                 scored_rx,
                 event_tx,
-                shadow_tx,
                 fusion_tx,
                 ledger,
                 merger_stats,
@@ -836,7 +806,7 @@ impl IdsPipeline {
             workers: worker_handles,
             merger: Some(merger),
         };
-        (pipeline, shadow_rx, fusion_rx)
+        (pipeline, fusion_rx)
     }
 
     /// Number of detection workers.
@@ -1136,7 +1106,6 @@ fn flush_batch(rt: &RouterRuntime, shard: usize, batch: &mut Vec<SegmentItem>) -
                         shard,
                         reason: DropReason::Backlogged,
                     },
-                    shadow: Vec::new(),
                     fusion: None,
                 };
                 merger_gone = rt.scored_tx.send(shed).is_err();
@@ -1169,8 +1138,6 @@ struct WorkerRuntime {
 struct WorkerState {
     engine: CoreEngine,
     checkpoint: CoreEngine,
-    shadows: Vec<IdsEngine>,
-    shadow_checkpoints: Vec<IdsEngine>,
     pending: VecDeque<SegmentItem>,
     /// Scratch for ring pops; drained into `pending` immediately.
     batch: Vec<SegmentItem>,
@@ -1185,51 +1152,11 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    /// Refreshes the restart checkpoint — primary and shadows together,
-    /// so a rollback replays both from the same stream position.
+    /// Refreshes the restart checkpoint.
     fn refresh_checkpoint(&mut self) {
         self.checkpoint = self.engine.clone();
-        self.shadow_checkpoints = self.shadows.clone();
     }
 
-    /// Scores the window through every shadow engine, marking each
-    /// verdict that disagrees with the primary's anomaly/normal call.
-    /// Shadow time is attributed to its own stage clock, not `score_ns`.
-    fn score_shadows(
-        &mut self,
-        rt: &WorkerRuntime,
-        stream_pos: u64,
-        window: &[f64],
-        primary_anomaly: bool,
-    ) -> Vec<ShadowVerdict> {
-        if self.shadows.is_empty() {
-            return Vec::new();
-        }
-        let shadowing = Instant::now();
-        let verdicts = self
-            .shadows
-            .iter_mut()
-            .map(|shadow| {
-                let name = shadow.backend_name();
-                let (event, _, _) = shadow.process_window_timed(stream_pos, window);
-                let verdict = event
-                    .verdict()
-                    .copied()
-                    .unwrap_or(vprofile::Verdict::Anomaly {
-                        kind: vprofile::AnomalyKind::Unscorable,
-                    });
-                ShadowVerdict {
-                    backend: name,
-                    verdict,
-                    disagrees: verdict.is_anomaly() != primary_anomaly,
-                }
-            })
-            .collect();
-        rt.clocks
-            .shadow
-            .fetch_add(elapsed_ns(shadowing), Ordering::Relaxed);
-        verdicts
-    }
     /// The scoring loop proper; returns when the shard's ring closes and
     /// drains (clean shutdown) or the merger is gone. May panic — the
     /// supervisor catches it.
@@ -1259,15 +1186,6 @@ impl WorkerState {
                     hook(rt.shard, item.seq);
                 }
                 let (event, fusion) = self.score(rt, stream_pos, window);
-                // Shadows only mirror frames the primary actually scored:
-                // degraded/dropped placeholders carry no primary verdict
-                // to disagree with.
-                let shadow = match &event {
-                    IdsEvent::Scored(scored) if !scored.extraction_failed => {
-                        self.score_shadows(rt, stream_pos, window, scored.verdict.is_anomaly())
-                    }
-                    _ => Vec::new(),
-                };
                 self.window = buffer;
                 // Breaker transitions and the drift guard both move the
                 // quarantine; publish its size whenever it changed.
@@ -1285,7 +1203,6 @@ impl WorkerState {
                     seq: item.seq,
                     shard: rt.shard,
                     event,
-                    shadow,
                     fusion,
                 };
                 if rt.scored_tx.send(scored).is_err() {
@@ -1412,7 +1329,7 @@ fn outcome_of(event: &IdsEvent) -> WindowOutcome {
 /// exponential backoff); past the budget the shard fails permanently and
 /// its windows drain as [`IdsEvent::Dropped`] placeholders so the merger's
 /// reorder buffer never stalls on a sequence gap.
-fn supervised_worker(engine: CoreEngine, shadows: Vec<IdsEngine>, rt: WorkerRuntime) -> CoreEngine {
+fn supervised_worker(engine: CoreEngine, rt: WorkerRuntime) -> CoreEngine {
     // Held for the whole thread: if this worker dies in any way
     // supervision does not cover, the router must not park forever on a
     // ring nobody will ever drain again.
@@ -1420,8 +1337,6 @@ fn supervised_worker(engine: CoreEngine, shadows: Vec<IdsEngine>, rt: WorkerRunt
     let mut state = WorkerState {
         checkpoint: engine.clone(),
         engine,
-        shadow_checkpoints: shadows.clone(),
-        shadows,
         pending: VecDeque::new(),
         batch: Vec::new(),
         window: Vec::new(),
@@ -1454,7 +1369,6 @@ fn supervised_worker(engine: CoreEngine, shadows: Vec<IdsEngine>, rt: WorkerRunt
                             shard: rt.shard,
                             reason: DropReason::WorkerRestart,
                         },
-                        shadow: Vec::new(),
                         fusion: None,
                     });
                 }
@@ -1467,7 +1381,6 @@ fn supervised_worker(engine: CoreEngine, shadows: Vec<IdsEngine>, rt: WorkerRunt
                 let exponent = restarts.saturating_sub(1).min(6);
                 std::thread::sleep(Duration::from_millis(rt.backoff_base_ms << exponent));
                 state.engine = state.checkpoint.clone();
-                state.shadows = state.shadow_checkpoints.clone();
             }
         }
     }
@@ -1504,7 +1417,6 @@ fn drain_failed_shard(
                 shard: rt.shard,
                 reason: DropReason::ShardFailed,
             },
-            shadow: Vec::new(),
             fusion: None,
         });
     };
@@ -1530,25 +1442,19 @@ fn drain_failed_shard(
 fn merger_loop(
     scored_rx: Receiver<ScoredItem>,
     event_tx: Sender<IdsEvent>,
-    shadow_tx: Sender<ShadowEvent>,
     fusion_tx: Sender<FusionEvent>,
     ledger: Option<Arc<DriftLedger>>,
     stats: Arc<Mutex<PipelineStats>>,
     clocks: Arc<StageClocks>,
 ) {
-    let mut buffer: ReorderBuffer<(usize, IdsEvent, Vec<ShadowVerdict>, Option<FusionRecord>)> =
-        ReorderBuffer::new();
+    let mut buffer: ReorderBuffer<(usize, IdsEvent, Option<FusionRecord>)> = ReorderBuffer::new();
     // xtask: allow(hot-path-alloc): one scratch Vec per merger-thread lifetime, drained and reused across frames
-    let mut ready: Vec<(usize, IdsEvent, Vec<ShadowVerdict>, Option<FusionRecord>)> = Vec::new();
+    let mut ready: Vec<(usize, IdsEvent, Option<FusionRecord>)> = Vec::new();
     // xtask: allow(hot-path-alloc): one scratch Vec per merger-thread lifetime, drained and reused across frames
     let mut notables: Vec<(u64, usize, FusionRecord)> = Vec::new();
     for item in scored_rx {
         let merging = Instant::now();
-        buffer.push(
-            item.seq,
-            (item.shard, item.event, item.shadow, item.fusion),
-            &mut ready,
-        );
+        buffer.push(item.seq, (item.shard, item.event, item.fusion), &mut ready);
         if ready.is_empty() {
             clocks
                 .merge
@@ -1558,11 +1464,10 @@ fn merger_loop(
         // Counter update and event emission share one critical section, so
         // `stats()` can never observe a count without its event (or vice
         // versa) — `frames == anomalies + normals + extraction_failures +
-        // dropped + degraded` holds in every snapshot. Shadow counters
-        // live in the same section for the same reason.
+        // dropped + degraded` holds in every snapshot.
         // xtask: allow(hot-path-lock): counters and event emission must share one critical section so stats snapshots never disagree with the emitted stream
         let mut s = stats.lock();
-        for (shard, event, shadow, fusion) in ready.drain(..) {
+        for (shard, event, fusion) in ready.drain(..) {
             s.frames += 1;
             match &event {
                 IdsEvent::Scored(scored) => {
@@ -1610,29 +1515,6 @@ fn merger_loop(
                 }
                 if record.drift.is_some() || record.outage.is_some() {
                     notables.push((event.stream_pos(), shard, record));
-                }
-            }
-            if !shadow.is_empty() {
-                s.shadow_frames += 1;
-                let mut any_disagree = false;
-                for (index, verdict) in shadow.iter().enumerate() {
-                    if verdict.disagrees {
-                        any_disagree = true;
-                        if let Some(count) = s.shadow_disagreements.get_mut(index) {
-                            *count += 1;
-                        }
-                    }
-                }
-                if any_disagree {
-                    let stream_pos = event.stream_pos();
-                    let primary_anomaly =
-                        event.verdict().is_some_and(vprofile::Verdict::is_anomaly);
-                    // xtask: allow(guard-across-blocking): shadow_tx is unbounded, send never blocks; atomicity of counters+events requires the guard
-                    let _ = shadow_tx.send(ShadowEvent {
-                        stream_pos,
-                        primary_anomaly,
-                        shadows: shadow,
-                    });
                 }
             }
             // Receiver gone: keep counting so stats stay truthful, but

@@ -4,9 +4,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vprofile_suite::analog::{Environment, FrameSynthesizer, TransceiverModel};
+use vprofile_suite::baselines::VidenDetector;
 use vprofile_suite::can::{DataFrame, J1939Id, Pgn, Priority, SourceAddress, WireFrame};
 use vprofile_suite::core::{EdgeSetExtractor, Trainer, VProfileConfig};
-use vprofile_suite::ids::{IdsEngine, IdsEvent, IdsPipeline, PipelineConfig, UpdatePolicy};
+use vprofile_suite::ids::{
+    Backend, FusionConfig, FusionEngine, FusionPipeline, IdsEngine, IdsEvent, IdsPipeline,
+    PipelineConfig, PipelineStats, UpdatePolicy,
+};
 use vprofile_suite::vehicle::{CaptureConfig, Vehicle};
 
 fn trained(
@@ -154,13 +158,25 @@ fn sharded_pipeline_matches_the_single_threaded_engine() {
     // The pipeline frames the stream once, in its router, and workers
     // score each routed segment as the window. At every worker count and
     // chunking the events must be byte-identical to the single-threaded
-    // engine's. The chunk sizes cover the three ways a worker gets its
-    // window: frames spanning many 97-sample chunks (copied), frames
-    // straddling one 8 192-sample boundary, and frames inside one
-    // 65 536-sample chunk (borrowed).
+    // engine's, for one backend and for a vprofile + viden fusion. The
+    // chunk sizes cover the three ways a worker gets its window: frames
+    // spanning many 97-sample chunks (copied), frames straddling one
+    // 8 192-sample boundary, and frames inside one 65 536-sample chunk
+    // (borrowed).
     let vehicle = Vehicle::vehicle_b(80);
     let (model, capture) = trained(&vehicle, 900, 80);
-    let engine = IdsEngine::new(model, 2.0, UpdatePolicy::disabled());
+    let config = model.config().clone();
+    let labeled = capture
+        .extract(&EdgeSetExtractor::new(config.clone()))
+        .labeled();
+    let viden = VidenDetector::fit(&labeled, &vehicle.sa_lut(), 6.0).expect("viden");
+    let engine = IdsEngine::new(model.clone(), 2.0, UpdatePolicy::disabled());
+    let fusion = FusionEngine::new(
+        vec![Backend::vprofile(model, 2.0), Backend::from(viden)],
+        config,
+        FusionConfig::default(),
+        UpdatePolicy::disabled(),
+    );
     let stream: Vec<f64> = capture
         .frames()
         .iter()
@@ -174,24 +190,48 @@ fn sharded_pipeline_matches_the_single_threaded_engine() {
     expected.extend(reference.finish());
     assert_eq!(expected.len(), 200);
     let expected = serde_json::to_string(&expected).expect("serialize");
+    let mut fused_reference = fusion.clone();
+    let mut fused_expected = fused_reference.process_samples(&stream);
+    fused_expected.extend(fused_reference.finish());
+    assert_eq!(fused_expected.len(), 200);
+    let fused_expected = serde_json::to_string(&fused_expected).expect("serialize");
 
+    let five_way = |stats: &PipelineStats| {
+        stats.frames == 200
+            && stats.frames
+                == stats.anomalies
+                    + stats.normals
+                    + stats.extraction_failures
+                    + stats.dropped
+                    + stats.degraded
+    };
     for workers in [1, 2, 4] {
         for chunk_len in [97, 8_192, 65_536] {
-            let mut pipeline = IdsPipeline::spawn_sharded(
-                engine.clone(),
-                PipelineConfig::default().with_workers(workers),
-            );
+            let pipeline_config = PipelineConfig::default().with_workers(workers);
+            let mut pipeline = IdsPipeline::spawn_sharded(engine.clone(), pipeline_config.clone());
+            let mut fused = FusionPipeline::spawn(fusion.clone(), pipeline_config);
             for chunk in stream.chunks(chunk_len) {
                 pipeline.feed(chunk.to_vec()).expect("feed");
+                fused.feed(chunk.to_vec()).expect("feed");
             }
             pipeline.close_input();
+            fused.close_input();
             let events: Vec<IdsEvent> = pipeline.events().into_iter().collect();
-            pipeline.close().expect("clean close");
+            let (_, stats) = pipeline.close().expect("clean close");
             assert_eq!(
                 serde_json::to_string(&events).expect("serialize"),
                 expected,
                 "{workers} workers, {chunk_len}-sample chunks"
             );
+            assert!(five_way(&stats), "{stats:?}");
+            let events: Vec<IdsEvent> = fused.events().into_iter().collect();
+            let (_, stats) = fused.close().expect("clean close");
+            assert_eq!(
+                serde_json::to_string(&events).expect("serialize"),
+                fused_expected,
+                "fused, {workers} workers, {chunk_len}-sample chunks"
+            );
+            assert!(five_way(&stats), "fused: {stats:?}");
         }
     }
 }
