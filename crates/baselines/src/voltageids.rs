@@ -15,9 +15,9 @@ use crate::features::{scission_features, scission_features_into};
 use crate::svm::{OneVsRestSvm, SvmParams};
 use crate::{BaselineVerdict, SenderIdentifier};
 use std::collections::BTreeMap;
-use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, VProfileError, Verdict};
+use vprofile::{AnomalyKind, ClusterId, LabeledEdgeSet, ScratchArena, Verdict};
 use vprofile_can::SourceAddress;
-use vprofile_detector_core::{BackendSnapshot, DetectionBackend, SnapshotError};
+use vprofile_detector_core::DetectionBackend;
 use vprofile_sigstat::SigStatError;
 
 /// A trained VoltageIDS-style detector.
@@ -81,16 +81,6 @@ impl DetectionBackend for VoltageIdsDetector {
         "voltage-ids"
     }
 
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError> {
-        *self =
-            VoltageIdsDetector::fit(data, lut, self.min_margin).map_err(VProfileError::Numeric)?;
-        Ok(())
-    }
-
     /// Streaming identification of the edge set in `scratch.edge_set`.
     /// SVM decision margins grow with confidence, so the verdict reports
     /// the *negated* margin as its nonconformity distance: the margin
@@ -143,14 +133,6 @@ impl DetectionBackend for VoltageIdsDetector {
                 kind: AnomalyKind::Unscorable,
             },
         }
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        BackendSnapshot::new(DetectionBackend::name(self), self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-        snapshot.restore_into("voltage-ids", self)
     }
 }
 
@@ -284,14 +266,6 @@ mod tests {
         assert!(detector
             .classify_into(&mut scratch, SourceAddress(1))
             .is_unscorable());
-        let snapshot = detector.snapshot();
-        assert_eq!(snapshot.kind(), "voltage-ids");
-        let mut restored = detector.clone();
-        restored.restore(&snapshot).unwrap();
-        assert_eq!(
-            restored.identify(&a[0]).unwrap(),
-            detector.identify(&a[0]).unwrap()
-        );
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub mod collection {
     use std::hash::Hash;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`] and [`hash_set`]:
+    /// Length specifications accepted by [`vec()`] and [`hash_set`]:
     /// a fixed `usize`, `lo..hi`, or `lo..=hi`.
     pub trait SizeSpec {
         /// Draws a concrete length.

@@ -1,12 +1,8 @@
 //! The reference [`DetectionBackend`]: vProfile's Mahalanobis
 //! nearest-cluster detector with batched scoring and §5.3 online updates.
 
-use crate::{BackendSnapshot, DetectionBackend, SnapshotError};
-use std::collections::BTreeMap;
-use vprofile::{
-    ClusterId, Detector, EdgeSet, LabeledEdgeSet, Model, ScoringCache, ScratchArena, Trainer,
-    VProfileConfig, VProfileError, Verdict,
-};
+use crate::DetectionBackend;
+use vprofile::{Detector, EdgeSet, LabeledEdgeSet, Model, ScoringCache, ScratchArena, Verdict};
 use vprofile_can::SourceAddress;
 
 /// How many absorbed observations are buffered before an online update is
@@ -107,17 +103,6 @@ impl DetectionBackend for VProfileBackend {
         "vprofile"
     }
 
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError> {
-        let config: VProfileConfig = self.model.config().clone();
-        let model = Trainer::new(config).train_with_lut(data, lut)?;
-        self.install_model(model);
-        Ok(())
-    }
-
     // xtask: hot-path
     fn classify_into(&mut self, scratch: &mut ScratchArena, sa: SourceAddress) -> Verdict {
         self.ensure_cache();
@@ -210,14 +195,6 @@ impl DetectionBackend for VProfileBackend {
         }
         crate::default_calibration(verdict)
     }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        BackendSnapshot::new(DetectionBackend::name(self), self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-        snapshot.restore_into("vprofile", self)
-    }
 }
 
 /// Slow-path classification for the rare windows scored while the
@@ -234,7 +211,7 @@ fn classify_uncached(detector: &Detector<'_>, sa: SourceAddress, edge_set: &[f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vprofile::EdgeSetExtractor;
+    use vprofile::{EdgeSetExtractor, Trainer, VProfileConfig};
     use vprofile_vehicle::{CaptureConfig, Vehicle};
 
     fn trained() -> (VProfileBackend, Vec<LabeledEdgeSet>) {
@@ -360,40 +337,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn train_refits_in_place() {
-        let (mut backend, observations) = trained();
-        let vehicle = Vehicle::vehicle_b(17);
-        backend.train(&observations, &vehicle.sa_lut()).unwrap();
-        assert!(!backend.model().clusters().is_empty());
-    }
-
-    #[test]
-    fn snapshot_restore_is_byte_identical() {
-        let (mut backend, observations) = trained();
-        let snapshot = DetectionBackend::snapshot(&backend);
-        assert_eq!(snapshot.kind(), "vprofile");
-        // Mutate, then roll back.
-        for obs in observations.iter().take(20) {
-            backend.absorb(obs.sa, obs.edge_set.samples());
-        }
-        backend.apply_pending_updates();
-        backend.restore(&snapshot).unwrap();
-        let restored: Vec<usize> = backend
-            .model()
-            .clusters()
-            .iter()
-            .map(|c| c.count())
-            .collect();
-        let original = snapshot.downcast_ref::<VProfileBackend>().unwrap();
-        let expected: Vec<usize> = original
-            .model()
-            .clusters()
-            .iter()
-            .map(|c| c.count())
-            .collect();
-        assert_eq!(restored, expected);
     }
 }

@@ -183,7 +183,8 @@ pub fn backend_comparison(seed: u64, frames: usize) -> Result<Vec<BackendReport>
         );
         confusion.record(message.is_attack, scored.verdict.is_anomaly());
     }
-    let mut pipeline = FusionPipeline::spawn(fusion, PipelineConfig::default().with_workers(1));
+    let mut pipeline =
+        FusionPipeline::spawn_sharded(fusion, PipelineConfig::default().with_workers(1));
     for chunk in stream.chunks(65_536) {
         pipeline.feed(chunk.to_vec())?;
     }

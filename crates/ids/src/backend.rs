@@ -6,14 +6,12 @@
 //! awkward. [`Backend`] instead enumerates the known backends and
 //! match-delegates every [`DetectionBackend`] method, so each arm is
 //! monomorphized, inlineable, and allocation-free — the enum *is* the
-//! dispatch table, and `#[derive(Clone)]` gives byte-exact checkpoints
-//! for free.
+//! dispatch table, and `#[derive(Clone)]` is the byte-exact checkpoint.
 
-use std::collections::BTreeMap;
-use vprofile::{ClusterId, LabeledEdgeSet, Model, ScratchArena, VProfileError, Verdict};
+use vprofile::{Model, ScratchArena, Verdict};
 use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
 use vprofile_can::SourceAddress;
-use vprofile_detector_core::{BackendSnapshot, DetectionBackend, SnapshotError, VProfileBackend};
+use vprofile_detector_core::{DetectionBackend, VProfileBackend};
 
 /// Which detection backend a pipeline is running — a plain tag for
 /// reports, benches, and config plumbing.
@@ -131,14 +129,6 @@ impl DetectionBackend for Backend {
         delegate!(self, b => b.name())
     }
 
-    fn train(
-        &mut self,
-        data: &[LabeledEdgeSet],
-        lut: &BTreeMap<SourceAddress, ClusterId>,
-    ) -> Result<(), VProfileError> {
-        delegate!(self, b => b.train(data, lut))
-    }
-
     // xtask: hot-path
     fn classify_into(&mut self, scratch: &mut ScratchArena, sa: SourceAddress) -> Verdict {
         delegate!(self, b => b.classify_into(scratch, sa))
@@ -169,14 +159,6 @@ impl DetectionBackend for Backend {
 
     fn calibrated_score(&self, sa: SourceAddress, verdict: &Verdict) -> Option<f64> {
         delegate!(self, b => b.calibrated_score(sa, verdict))
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        delegate!(self, b => b.snapshot())
-    }
-
-    fn restore(&mut self, snapshot: &BackendSnapshot) -> Result<(), SnapshotError> {
-        delegate!(self, b => b.restore(snapshot))
     }
 }
 

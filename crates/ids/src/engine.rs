@@ -3,7 +3,8 @@
 
 use crate::backend::Backend;
 use crate::event::{IdsEvent, ScoredEvent};
-use crate::StreamFramer;
+use crate::pipeline::seam::ShardEngine;
+use crate::{FusionRecord, StreamFramer};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use vprofile::{EdgeSetExtractor, Model, QuarantineSet, ScratchArena, VProfileConfig, Verdict};
@@ -147,11 +148,6 @@ impl IdsEngine {
         &self.backend
     }
 
-    /// Mutable access to the detection backend (snapshot/restore, retrain).
-    pub fn backend_mut(&mut self) -> &mut Backend {
-        &mut self.backend
-    }
-
     /// The backend's stable name (e.g. `"vprofile"`, `"viden"`).
     pub fn backend_name(&self) -> &'static str {
         self.backend.kind().label()
@@ -293,6 +289,44 @@ impl IdsEngine {
             self.quarantine.insert(sa.0);
             self.backend.discard_pending_for(sa);
         }
+    }
+}
+
+/// The pipeline seam over the inherent methods. A single-backend engine
+/// has no fusion telemetry and no voters.
+impl ShardEngine for IdsEngine {
+    fn config(&self) -> &VProfileConfig {
+        &self.config
+    }
+
+    fn process_window_shard(
+        &mut self,
+        stream_pos: u64,
+        window: &[f64],
+        _shard: usize,
+    ) -> (IdsEvent, u64, u64, Option<FusionRecord>) {
+        let (event, extract_ns, score_ns) = self.process_window_timed(stream_pos, window);
+        (event, extract_ns, score_ns, None)
+    }
+
+    fn apply_pending_updates(&mut self) {
+        IdsEngine::apply_pending_updates(self);
+    }
+
+    fn quarantine_sa(&mut self, sa: u8) {
+        IdsEngine::quarantine_sa(self, sa);
+    }
+
+    fn release_sa(&mut self, sa: u8) {
+        IdsEngine::release_sa(self, sa);
+    }
+
+    fn quarantined(&self) -> &QuarantineSet {
+        &self.quarantine
+    }
+
+    fn voter_count(&self) -> usize {
+        0
     }
 }
 

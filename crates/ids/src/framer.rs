@@ -220,7 +220,7 @@ impl StreamFramer {
     /// this chunk, each paired with the stream position of its first
     /// sample.
     ///
-    /// Boundaries come from the shared [`Boundaries`] state machine; a
+    /// Boundaries come from the shared `Boundaries` state machine; a
     /// closed frame's window is assembled directly from the buffered head
     /// plus the in-chunk tail (one copy of the body), and only the chunk
     /// suffix the machine still needs is buffered. Output is identical for

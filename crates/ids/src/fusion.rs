@@ -17,26 +17,25 @@
 //! readmission probes); the ensemble reweights around it and keeps
 //! scoring, emitting one [`IdsEvent::Degraded`] frame with a
 //! backend-attributed [`DegradeReason::VoterOutage`] at the transition.
-//! [`FusionPipeline`] runs the engine through the sharded, supervised
-//! [`IdsPipeline`] machinery: because all fusion state is per source
-//! address and routing is SA-affine, the fused verdict stream is
-//! deterministic for any worker count.
+//! [`crate::FusionPipeline`] (`IdsPipeline<FusionEngine>`) runs the engine
+//! through the sharded, supervised [`crate::IdsPipeline`] machinery:
+//! because all fusion state is per source address and routing is
+//! SA-affine, the fused verdict stream is deterministic for any worker
+//! count.
 
 use crate::engine::elapsed_ns;
 use crate::event::{IdsEvent, ScoredEvent};
 use crate::health::{DegradeReason, OutageCause};
-use crate::pipeline::{CoreEngine, PipelineConfig, PipelineError, PipelineStats};
-use crate::{Backend, BackendKind, IdsPipeline, StreamFramer, UpdatePolicy};
-use crossbeam::channel::Receiver;
+use crate::pipeline::seam::ShardEngine;
+use crate::{Backend, BackendKind, StreamFramer, UpdatePolicy};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Instant;
 use vprofile::{
     AnomalyKind, ClusterId, EdgeSetExtractor, QuarantineSet, ScratchArena, VProfileConfig, Verdict,
 };
 use vprofile_can::SourceAddress;
 use vprofile_detector_core::DetectionBackend;
-use vprofile_fusion::{DriftLedger, DriftVerdict, FusionConfig, FusionCore, FusionDecision};
+use vprofile_fusion::{DriftVerdict, FusionConfig, FusionCore, FusionDecision};
 
 /// Consecutive `Unscorable` verdicts before a voter is suspended.
 const DEFAULT_SUSPEND_AFTER: u32 = 12;
@@ -73,8 +72,8 @@ pub struct FusedScore {
 }
 
 /// Compact per-frame fusion telemetry attached to the pipeline's scored
-/// items and surfaced through [`FusionPipeline::fusion_events`] and the
-/// fusion counters in [`PipelineStats`].
+/// items and surfaced through [`crate::FusionPipeline::fusion_events`]
+/// and the fusion counters in [`crate::PipelineStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FusionRecord {
     /// The claimed source address the frame was fused under.
@@ -317,104 +316,6 @@ impl FusionEngine {
         scored
     }
 
-    /// The full per-frame path: extraction, ensemble scoring, drift-gated
-    /// absorption, and outage emission. `shard` is stamped into any
-    /// degraded event (0 when running standalone).
-    pub(crate) fn process_window_shard(
-        &mut self,
-        stream_pos: u64,
-        window: &[f64],
-        shard: usize,
-    ) -> (IdsEvent, u64, u64, Option<FusionRecord>) {
-        let extracting = Instant::now();
-        let extracted = self.extractor.extract_into(window, &mut self.scratch);
-        let extract_ns = elapsed_ns(extracting);
-        let scoring = Instant::now();
-        let Ok(sa) = extracted else {
-            let event = IdsEvent::Scored(ScoredEvent {
-                stream_pos,
-                sa: None,
-                verdict: Verdict::Anomaly {
-                    kind: AnomalyKind::UnknownSa {
-                        sa: SourceAddress(0xFF),
-                    },
-                },
-                extraction_failed: true,
-                retrain_due: false,
-            });
-            return (event, extract_ns, elapsed_ns(scoring), None);
-        };
-
-        // Chaos kill knob: keyed on stream position so the fault lands on
-        // the same frame every run, keeping chaos tests deterministic.
-        let mut outage: Option<(u8, OutageCause)> = None;
-        if let Some((voter, at)) = self.kill_at {
-            if stream_pos >= at {
-                self.kill_at = None;
-                outage = self.kill_voter_now(voter);
-            }
-        }
-
-        let (scored, streak_outage) = self.score_extracted(sa);
-        if outage.is_none() {
-            outage = streak_outage;
-        }
-
-        // Drift-gated §5.3 update: absorption needs an open ScoreShift
-        // budget (decision.absorb_ok), an un-quarantined SA, and updates
-        // enabled at all. There is no fixed cadence to fall back to.
-        let mut retrain_due = false;
-        let mut absorbed = false;
-        if !scored.decision.anomaly && self.policy.is_enabled() && !self.quarantine.contains(sa.0) {
-            if scored.decision.absorb_ok && outage.is_none() {
-                self.absorb_frame(sa);
-                absorbed = true;
-            }
-            retrain_due = self.any_retrain_due();
-        }
-
-        let record = FusionRecord {
-            sa: sa.0,
-            score: scored.decision.score,
-            threshold: scored.decision.threshold,
-            anomaly: scored.decision.anomaly,
-            scored: scored.decision.scored,
-            episode: scored.decision.episode,
-            absorbed,
-            disagree_mask: scored.disagree_mask,
-            drift: scored.decision.drift,
-            outage: outage.map(|(voter, _)| voter),
-        };
-
-        // A voter-loss transition consumes this one frame as an explicit
-        // degradation marker (never an anomaly: the outage is a runtime
-        // integrity signal, not an attack verdict), keeping the pipeline's
-        // frame-partition identity intact.
-        let event = match outage {
-            Some((voter, cause)) => IdsEvent::Degraded {
-                stream_pos,
-                shard,
-                reason: DegradeReason::VoterOutage {
-                    voter,
-                    backend: self
-                        .voters
-                        .get(usize::from(voter))
-                        .map(Backend::kind)
-                        .unwrap_or(BackendKind::VProfile),
-                    cause,
-                },
-            },
-            None => IdsEvent::Scored(ScoredEvent {
-                stream_pos,
-                sa: Some(sa),
-                verdict: scored.verdict,
-                extraction_failed: false,
-                retrain_due,
-            }),
-        };
-        (event, extract_ns, elapsed_ns(scoring), Some(record))
-    }
-
     /// Scores the already-extracted observation through every live voter
     /// and fuses the calibrated scores. Returns the fused outcome plus a
     /// newly-detected unscorable-streak outage, if any.
@@ -551,6 +452,132 @@ impl FusionEngine {
     }
 }
 
+/// The pipeline seam. The fused per-frame path lives here: the
+/// pipeline is its only caller besides [`FusionEngine::process_window`].
+impl ShardEngine for FusionEngine {
+    fn config(&self) -> &VProfileConfig {
+        &self.config
+    }
+
+    /// The full per-frame path: extraction, ensemble scoring, drift-gated
+    /// absorption, and outage emission. `shard` is stamped into any
+    /// degraded event (0 when running standalone).
+    fn process_window_shard(
+        &mut self,
+        stream_pos: u64,
+        window: &[f64],
+        shard: usize,
+    ) -> (IdsEvent, u64, u64, Option<FusionRecord>) {
+        let extracting = Instant::now();
+        let extracted = self.extractor.extract_into(window, &mut self.scratch);
+        let extract_ns = elapsed_ns(extracting);
+        let scoring = Instant::now();
+        let Ok(sa) = extracted else {
+            let event = IdsEvent::Scored(ScoredEvent {
+                stream_pos,
+                sa: None,
+                verdict: Verdict::Anomaly {
+                    kind: AnomalyKind::UnknownSa {
+                        sa: SourceAddress(0xFF),
+                    },
+                },
+                extraction_failed: true,
+                retrain_due: false,
+            });
+            return (event, extract_ns, elapsed_ns(scoring), None);
+        };
+
+        // Chaos kill knob: keyed on stream position so the fault lands on
+        // the same frame every run, keeping chaos tests deterministic.
+        let mut outage: Option<(u8, OutageCause)> = None;
+        if let Some((voter, at)) = self.kill_at {
+            if stream_pos >= at {
+                self.kill_at = None;
+                outage = self.kill_voter_now(voter);
+            }
+        }
+
+        let (scored, streak_outage) = self.score_extracted(sa);
+        if outage.is_none() {
+            outage = streak_outage;
+        }
+
+        // Drift-gated §5.3 update: absorption needs an open ScoreShift
+        // budget (decision.absorb_ok), an un-quarantined SA, and updates
+        // enabled at all. There is no fixed cadence to fall back to.
+        let mut retrain_due = false;
+        let mut absorbed = false;
+        if !scored.decision.anomaly && self.policy.is_enabled() && !self.quarantine.contains(sa.0) {
+            if scored.decision.absorb_ok && outage.is_none() {
+                self.absorb_frame(sa);
+                absorbed = true;
+            }
+            retrain_due = self.any_retrain_due();
+        }
+
+        let record = FusionRecord {
+            sa: sa.0,
+            score: scored.decision.score,
+            threshold: scored.decision.threshold,
+            anomaly: scored.decision.anomaly,
+            scored: scored.decision.scored,
+            episode: scored.decision.episode,
+            absorbed,
+            disagree_mask: scored.disagree_mask,
+            drift: scored.decision.drift,
+            outage: outage.map(|(voter, _)| voter),
+        };
+
+        // A voter-loss transition consumes this one frame as an explicit
+        // degradation marker (never an anomaly: the outage is a runtime
+        // integrity signal, not an attack verdict), keeping the pipeline's
+        // frame-partition identity intact.
+        let event = match outage {
+            Some((voter, cause)) => IdsEvent::Degraded {
+                stream_pos,
+                shard,
+                reason: DegradeReason::VoterOutage {
+                    voter,
+                    backend: self
+                        .voters
+                        .get(usize::from(voter))
+                        .map(Backend::kind)
+                        .unwrap_or(BackendKind::VProfile),
+                    cause,
+                },
+            },
+            None => IdsEvent::Scored(ScoredEvent {
+                stream_pos,
+                sa: Some(sa),
+                verdict: scored.verdict,
+                extraction_failed: false,
+                retrain_due,
+            }),
+        };
+        (event, extract_ns, elapsed_ns(scoring), Some(record))
+    }
+
+    fn apply_pending_updates(&mut self) {
+        FusionEngine::apply_pending_updates(self);
+    }
+
+    fn quarantine_sa(&mut self, sa: u8) {
+        FusionEngine::quarantine_sa(self, sa);
+    }
+
+    fn release_sa(&mut self, sa: u8) {
+        FusionEngine::release_sa(self, sa);
+    }
+
+    fn quarantined(&self) -> &QuarantineSet {
+        &self.quarantine
+    }
+
+    fn voter_count(&self) -> usize {
+        self.voters.len()
+    }
+}
+
 /// Maps the fused call onto a [`Verdict`]. Agreement keeps the primary's
 /// fully-attributed verdict; an ensemble overrule synthesizes a
 /// calibrated-space verdict (`distance` = fused score, `limit` = θ).
@@ -588,103 +615,11 @@ fn representative_cluster(verdict: &Verdict) -> ClusterId {
     }
 }
 
-/// A sharded pipeline whose workers each run a clone of a
-/// [`FusionEngine`]: the one way to run several engines on each frame.
-///
-/// Fused verdicts drive the event stream, the circuit breaker, and the
-/// (drift-gated) online updates. Notable fusion frames — change-point
-/// verdicts and voter outages — additionally arrive on
-/// [`FusionPipeline::fusion_events`] and are recorded, cross-shard and
-/// in stream order, in the [`DriftLedger`] available from
-/// [`FusionPipeline::ledger`].
-#[derive(Debug)]
-pub struct FusionPipeline {
-    inner: IdsPipeline,
-    fusion_rx: Receiver<FusionEvent>,
-    ledger: Arc<DriftLedger>,
-}
-
-impl FusionPipeline {
-    /// Spawns the sharded pipeline with a clone of `engine` per worker.
-    pub fn spawn(engine: FusionEngine, config: PipelineConfig) -> Self {
-        let ledger = Arc::new(DriftLedger::new());
-        let (inner, fusion_rx) = IdsPipeline::spawn_core(
-            CoreEngine::Fused(Box::new(engine)),
-            config,
-            Some(Arc::clone(&ledger)),
-        );
-        FusionPipeline {
-            inner,
-            fusion_rx,
-            ledger,
-        }
-    }
-
-    /// Feeds one chunk of samples; see [`IdsPipeline::feed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IdsPipeline::feed`] errors.
-    pub fn feed(&self, samples: Vec<f64>) -> Result<(), PipelineError> {
-        self.inner.feed(samples)
-    }
-
-    /// The fused event stream, in framing order.
-    pub fn events(&self) -> &Receiver<IdsEvent> {
-        self.inner.events()
-    }
-
-    /// Notable fusion frames (drift verdicts, voter outages), in framing
-    /// order.
-    pub fn fusion_events(&self) -> &Receiver<FusionEvent> {
-        &self.fusion_rx
-    }
-
-    /// The cross-shard drift/outage ledger.
-    pub fn ledger(&self) -> &Arc<DriftLedger> {
-        &self.ledger
-    }
-
-    /// Number of detection workers.
-    pub fn worker_count(&self) -> usize {
-        self.inner.worker_count()
-    }
-
-    /// Closes the sample input without joining; see
-    /// [`IdsPipeline::close_input`].
-    pub fn close_input(&mut self) {
-        self.inner.close_input();
-    }
-
-    /// Snapshot of the aggregate counters, including the fusion counters
-    /// ([`PipelineStats::fusion_frames`],
-    /// [`PipelineStats::voter_disagreements`],
-    /// [`PipelineStats::drift_verdicts`],
-    /// [`PipelineStats::voter_outages`]).
-    pub fn stats(&self) -> PipelineStats {
-        self.inner.stats()
-    }
-
-    /// Closes the input, drains every thread, and returns the per-shard
-    /// fusion engines with the final statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IdsPipeline::close`] errors.
-    pub fn close(self) -> Result<(Vec<FusionEngine>, PipelineStats), PipelineError> {
-        let (cores, stats) = self.inner.close_core()?;
-        let engines = cores
-            .into_iter()
-            .filter_map(CoreEngine::into_fused)
-            .collect();
-        Ok((engines, stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PipelineConfig;
+    use crate::{FusionPipeline, PipelineConfig};
+    use std::sync::Arc;
     use vprofile::Trainer;
     use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
     use vprofile_vehicle::{CaptureConfig, Vehicle};
@@ -762,7 +697,8 @@ mod tests {
             expected.push(event);
         }
 
-        let mut pipeline = FusionPipeline::spawn(engine, PipelineConfig::default().with_workers(4));
+        let mut pipeline =
+            FusionPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(4));
         for chunk in stream.chunks(8192) {
             pipeline.feed(chunk.to_vec()).expect("feed");
         }
@@ -797,7 +733,8 @@ mod tests {
     #[test]
     fn notable_frames_agree_with_the_ledger_and_stats() {
         let (engine, stream) = fixture();
-        let mut pipeline = FusionPipeline::spawn(engine, PipelineConfig::default().with_workers(2));
+        let mut pipeline =
+            FusionPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(2));
         for chunk in stream.chunks(8192) {
             pipeline.feed(chunk.to_vec()).expect("feed");
         }

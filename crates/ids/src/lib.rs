@@ -25,8 +25,8 @@
 //!   events through a sequence-numbered [`ReorderBuffer`], making the
 //!   output order deterministic and identical to a single-worker run;
 //! * self-healing — each worker runs under a supervisor that absorbs
-//!   panics and restarts the shard from a checkpointed engine snapshot
-//!   (bounded budget, exponential backoff), a per-shard circuit breaker
+//!   panics and restarts the shard from a checkpoint, a clone of its
+//!   engine (bounded budget, exponential backoff), a per-shard circuit breaker
 //!   ([`HealthConfig`]) trips into an explicit degraded mode
 //!   ([`IdsEvent::Degraded`], quarantined online updates) instead of
 //!   emitting false verdicts, and `feed` backpressure is configurable via
@@ -35,8 +35,9 @@
 //!   (enum-dispatched [`DetectionBackend`]), so the same framing, sharding,
 //!   supervision, and health machinery runs vProfile, Viden-style,
 //!   Scission-style, and VoltageIDS-style detectors interchangeably.
-//!   [`FusionPipeline`] runs several backends on every frame as voters of
-//!   one verdict. To audition a candidate backend without letting it raise
+//!   The pipeline is generic over the engine its workers run:
+//!   [`FusionPipeline`] (`IdsPipeline<FusionEngine>`) runs several
+//!   backends on every frame as voters of one verdict. To audition a candidate backend without letting it raise
 //!   alarms, feed the same chunks to a second [`IdsPipeline`] built on it
 //!   and compare the two event streams by [`IdsEvent::stream_pos`].
 //!
@@ -90,17 +91,18 @@ pub use backend::{Backend, BackendKind};
 pub use engine::{IdsEngine, UpdatePolicy};
 pub use event::{IdsEvent, ScoredEvent};
 pub use framer::StreamFramer;
-pub use fusion::{FusedScore, FusionEngine, FusionEvent, FusionPipeline, FusionRecord};
+pub use fusion::{FusedScore, FusionEngine, FusionEvent, FusionRecord};
 pub use health::{
     BackpressurePolicy, BreakerState, DegradeReason, DropReason, HealthConfig, OutageCause,
 };
 pub use period::{PeriodMonitor, PeriodVerdict};
-pub use pipeline::{IdsPipeline, PipelineConfig, PipelineError, PipelineStats, StageBreakdown};
+pub use pipeline::{
+    FusionPipeline, IdsPipeline, PipelineConfig, PipelineEngine, PipelineError, PipelineStats,
+    StageBreakdown,
+};
 pub use reorder::ReorderBuffer;
 pub use shard::{stable_shard, stable_shard_seeded};
-pub use vprofile_detector_core::{
-    BackendSnapshot, DetectionBackend, SnapshotError, VProfileBackend,
-};
+pub use vprofile_detector_core::{DetectionBackend, VProfileBackend};
 pub use vprofile_fusion::{
     CusumConfig, DriftKind, DriftLedger, DriftRecord, DriftVerdict, EwmaConfig, FusionConfig,
     FusionCore, FusionDecision, OutageRecord,

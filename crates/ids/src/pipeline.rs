@@ -15,7 +15,8 @@
 //!   by the claimed SA means each worker owns a *disjoint* set of per-SA
 //!   cluster state, so online updates never race across workers;
 //! * **N supervised detection workers**, each owning a clone of the
-//!   [`IdsEngine`] and no framer: a routed segment already *is* the
+//!   engine — an [`IdsEngine`] or a [`FusionEngine`], the pipeline's
+//!   type parameter — and no framer: a routed segment already *is* the
 //!   frame's window (bit-identical to [`crate::StreamFramer`]'s), so the
 //!   worker borrows it in place when the frame sat in one chunk, copies
 //!   its parts into one reused buffer otherwise, and scores it. Each
@@ -73,7 +74,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vprofile::{QuarantineSet, VProfileConfig};
+use vprofile::QuarantineSet;
 use vprofile_fusion::DriftLedger;
 
 /// Failure modes of the threaded pipeline.
@@ -120,95 +121,53 @@ impl std::error::Error for PipelineError {}
 /// injection.
 type FaultHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 
-/// The engine a shard worker runs: a single-backend [`IdsEngine`] or a
-/// multi-voter [`FusionEngine`]. One enum keeps the router, supervisor,
-/// breaker, checkpoint, and merger machinery identical for both — a
-/// fused pipeline is the same pipeline with a different core.
-#[derive(Debug, Clone)]
-pub(crate) enum CoreEngine {
-    /// One detection backend (the historical pipeline).
-    Single(IdsEngine),
-    /// An N-voter fusion ensemble (boxed: the fusion core preallocates
-    /// per-SA state for every voter, so the variant is large).
-    Fused(Box<FusionEngine>),
-}
+/// An engine an [`IdsPipeline`] can run on its shard workers:
+/// [`IdsEngine`] (one backend) or [`FusionEngine`] (several voters of one
+/// verdict). The router, supervisor, breaker, checkpoint and merger
+/// machinery is the same for both; `Clone` is the checkpoint, which the
+/// supervisor rolls a panicked worker back to.
+///
+/// The trait is sealed: its methods live on a crate-private supertrait, so
+/// code outside this crate can name it as a bound but neither implement
+/// it nor call the worker-side methods.
+pub trait PipelineEngine: seam::ShardEngine {}
 
-impl CoreEngine {
-    /// The framing/extraction configuration, for the router.
-    fn config(&self) -> &VProfileConfig {
-        match self {
-            CoreEngine::Single(engine) => engine.config(),
-            CoreEngine::Fused(engine) => engine.config(),
-        }
-    }
+impl<E: seam::ShardEngine> PipelineEngine for E {}
 
-    /// Scores one window; the fused variant also returns its per-frame
-    /// fusion telemetry.
-    fn process_window_shard(
-        &mut self,
-        stream_pos: u64,
-        window: &[f64],
-        shard: usize,
-    ) -> (IdsEvent, u64, u64, Option<FusionRecord>) {
-        match self {
-            CoreEngine::Single(engine) => {
-                let (event, extract_ns, score_ns) = engine.process_window_timed(stream_pos, window);
-                (event, extract_ns, score_ns, None)
-            }
-            CoreEngine::Fused(engine) => engine.process_window_shard(stream_pos, window, shard),
-        }
-    }
+pub(crate) mod seam {
+    use crate::{FusionRecord, IdsEvent};
+    use vprofile::{QuarantineSet, VProfileConfig};
 
-    fn apply_pending_updates(&mut self) {
-        match self {
-            CoreEngine::Single(engine) => engine.apply_pending_updates(),
-            CoreEngine::Fused(engine) => engine.apply_pending_updates(),
-        }
-    }
+    /// What a shard worker, the router and the merger need from an engine.
+    pub trait ShardEngine: Clone + Send + 'static {
+        /// The framing/extraction configuration, for the router.
+        fn config(&self) -> &VProfileConfig;
 
-    fn quarantine_sa(&mut self, sa: u8) {
-        match self {
-            CoreEngine::Single(engine) => engine.quarantine_sa(sa),
-            CoreEngine::Fused(engine) => engine.quarantine_sa(sa),
-        }
-    }
+        /// Scores one window. Returns the event, the extraction and
+        /// scoring nanoseconds, and the frame's fusion telemetry (`None`
+        /// from a single-backend engine). `shard` is stamped into any
+        /// event that names one.
+        fn process_window_shard(
+            &mut self,
+            stream_pos: u64,
+            window: &[f64],
+            shard: usize,
+        ) -> (IdsEvent, u64, u64, Option<FusionRecord>);
 
-    fn release_sa(&mut self, sa: u8) {
-        match self {
-            CoreEngine::Single(engine) => engine.release_sa(sa),
-            CoreEngine::Fused(engine) => engine.release_sa(sa),
-        }
-    }
+        /// Applies any buffered online updates now.
+        fn apply_pending_updates(&mut self);
 
-    fn quarantined(&self) -> &QuarantineSet {
-        match self {
-            CoreEngine::Single(engine) => engine.quarantined(),
-            CoreEngine::Fused(engine) => engine.quarantined(),
-        }
-    }
+        /// Quarantines an SA from online-update absorption.
+        fn quarantine_sa(&mut self, sa: u8);
 
-    /// Number of fusion voters (0 for a single-backend core).
-    fn voter_count(&self) -> usize {
-        match self {
-            CoreEngine::Single(_) => 0,
-            CoreEngine::Fused(engine) => engine.voters().len(),
-        }
-    }
+        /// Releases one SA from quarantine.
+        fn release_sa(&mut self, sa: u8);
 
-    /// Unwraps the single-backend engine.
-    pub(crate) fn into_single(self) -> Option<IdsEngine> {
-        match self {
-            CoreEngine::Single(engine) => Some(engine),
-            CoreEngine::Fused(_) => None,
-        }
-    }
+        /// The SAs currently quarantined from online updates.
+        fn quarantined(&self) -> &QuarantineSet;
 
-    /// Unwraps the fusion engine.
-    pub(crate) fn into_fused(self) -> Option<FusionEngine> {
-        match self {
-            CoreEngine::Fused(engine) => Some(*engine),
-            CoreEngine::Single(_) => None,
-        }
+        /// Number of fusion voters (0 for a single-backend engine).
+        fn voter_count(&self) -> usize;
     }
 }
 
@@ -221,8 +180,8 @@ pub struct PipelineConfig {
     /// window queue (chunks/windows, not samples). What happens when the
     /// sample backlog reaches it is [`PipelineConfig::backpressure`].
     pub high_water: usize,
-    /// Largest number of queued windows a worker drains per wakeup; the
-    /// batch shares one scoring-cache lookup run.
+    /// Largest number of frame segments a worker pops from its ring per
+    /// wakeup; each is then scored on its own.
     pub batch_max: usize,
     /// What [`IdsPipeline::feed`] does at the high-water mark.
     pub backpressure: BackpressurePolicy,
@@ -294,12 +253,6 @@ impl PipelineConfig {
     pub fn with_high_water(mut self, high_water: usize) -> Self {
         self.high_water = high_water;
         self
-    }
-
-    /// Historical name for [`PipelineConfig::with_high_water`].
-    #[must_use]
-    pub fn with_chunk_backlog(self, chunk_backlog: usize) -> Self {
-        self.with_high_water(chunk_backlog)
     }
 
     /// Sets the per-wakeup worker drain bound.
@@ -421,7 +374,7 @@ pub struct PipelineStats {
     /// Number of SAs currently quarantined from online updates, per shard.
     pub quarantined_sas: Vec<usize>,
     /// Frames scored through the fusion ensemble (zero unless the
-    /// pipeline was spawned through [`crate::FusionPipeline`]). Counts
+    /// pipeline runs a [`FusionEngine`], i.e. is a [`FusionPipeline`]). Counts
     /// fused frames, which already partition into the per-frame counters
     /// above, so it sits outside the frame identity.
     // xtask: outside-frame-identity
@@ -639,20 +592,35 @@ impl SampleQueue {
     }
 }
 
-/// A running threaded IDS. Drop-free shutdown: close the sample input
-/// (call [`IdsPipeline::close`] / [`IdsPipeline::finish`]) and join.
+/// A running threaded IDS whose shard workers each run a clone of an
+/// engine `E`: an [`IdsEngine`] by default, or a [`FusionEngine`]
+/// ([`FusionPipeline`]). Drop-free shutdown: close the sample input (call
+/// [`IdsPipeline::close`] / [`IdsPipeline::finish`]) and join.
 #[derive(Debug)]
-pub struct IdsPipeline {
+pub struct IdsPipeline<E: PipelineEngine = IdsEngine> {
     queue: Arc<SampleQueue>,
     backpressure: BackpressurePolicy,
     event_rx: Receiver<IdsEvent>,
+    fusion_rx: Receiver<FusionEvent>,
+    ledger: Arc<DriftLedger>,
     stats: Arc<Mutex<PipelineStats>>,
     gauges: Arc<Vec<ShardGauges>>,
     clocks: Arc<StageClocks>,
     router: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<CoreEngine>>,
+    workers: Vec<JoinHandle<E>>,
     merger: Option<JoinHandle<()>>,
 }
+
+/// A sharded pipeline whose workers each run a clone of a
+/// [`FusionEngine`]: the one way to run several backends on each frame.
+///
+/// Fused verdicts drive the event stream, the circuit breaker, and the
+/// (drift-gated) online updates. Notable fusion frames — change-point
+/// verdicts and voter outages — additionally arrive on
+/// [`FusionPipeline::fusion_events`] and are recorded, cross-shard and
+/// in stream order, in the [`DriftLedger`] available from
+/// [`FusionPipeline::ledger`].
+pub type FusionPipeline = IdsPipeline<FusionEngine>;
 
 impl std::fmt::Debug for SampleQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -671,20 +639,7 @@ impl std::fmt::Debug for ShardGauges {
     }
 }
 
-impl IdsPipeline {
-    /// Spawns a single-worker pipeline around an engine — the original
-    /// one-thread-per-stage topology, kept as the compatibility entry point.
-    ///
-    /// `chunk_backlog` bounds the sample backlog (chunks, not samples).
-    pub fn spawn(engine: IdsEngine, chunk_backlog: usize) -> Self {
-        Self::spawn_sharded(
-            engine,
-            PipelineConfig::default()
-                .with_workers(1)
-                .with_high_water(chunk_backlog),
-        )
-    }
-
+impl<E: PipelineEngine> IdsPipeline<E> {
     /// Spawns the sharded pipeline: one router, `config.workers` supervised
     /// detection workers (each a clone of `engine`), and one merging thread.
     ///
@@ -693,19 +648,7 @@ impl IdsPipeline {
     /// merger re-serializes events into framing order, making the output
     /// stream deterministic and — when online updates are disabled —
     /// identical to a single-worker run.
-    pub fn spawn_sharded(engine: IdsEngine, config: PipelineConfig) -> Self {
-        let (pipeline, _fusion_rx) = Self::spawn_core(CoreEngine::Single(engine), config, None);
-        pipeline
-    }
-
-    /// Spawns the sharded pipeline around any [`CoreEngine`] — the one
-    /// construction path behind every public `spawn*`. `ledger`, when
-    /// given, receives every notable fusion frame from the merger.
-    pub(crate) fn spawn_core(
-        engine: CoreEngine,
-        config: PipelineConfig,
-        ledger: Option<Arc<DriftLedger>>,
-    ) -> (Self, Receiver<FusionEvent>) {
+    pub fn spawn_sharded(engine: E, config: PipelineConfig) -> Self {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -782,6 +725,8 @@ impl IdsPipeline {
             router_loop(splitter, router_rt);
         });
 
+        let ledger = Arc::new(DriftLedger::new());
+        let merger_ledger = Arc::clone(&ledger);
         let merger_stats = Arc::clone(&stats);
         let merger_clocks = Arc::clone(&clocks);
         let merger = std::thread::spawn(move || {
@@ -789,24 +734,31 @@ impl IdsPipeline {
                 scored_rx,
                 event_tx,
                 fusion_tx,
-                ledger,
+                &merger_ledger,
                 merger_stats,
                 merger_clocks,
             )
         });
 
-        let pipeline = IdsPipeline {
+        IdsPipeline {
             queue,
             backpressure: config.backpressure,
             event_rx,
+            fusion_rx,
+            ledger,
             stats,
             gauges,
             clocks,
             router: Some(router),
             workers: worker_handles,
             merger: Some(merger),
-        };
-        (pipeline, fusion_rx)
+        }
+    }
+
+    /// Same as [`IdsPipeline::spawn_sharded`], kept for existing callers
+    /// of `FusionPipeline::spawn`; new code calls `spawn_sharded`.
+    pub fn spawn(engine: E, config: PipelineConfig) -> Self {
+        Self::spawn_sharded(engine, config)
     }
 
     /// Number of detection workers.
@@ -899,19 +851,7 @@ impl IdsPipeline {
     /// supervisors and surface in [`PipelineStats::restarts`] /
     /// [`PipelineStats::shard_failed`] instead). All threads are joined
     /// before the error returns, so `close` never hangs.
-    pub fn close(self) -> Result<(Vec<IdsEngine>, PipelineStats), PipelineError> {
-        let (cores, stats) = self.close_core()?;
-        let engines = cores
-            .into_iter()
-            .filter_map(CoreEngine::into_single)
-            .collect();
-        Ok((engines, stats))
-    }
-
-    /// [`IdsPipeline::close`] without unwrapping the engine kind; used by
-    /// the typed wrappers ([`crate::FusionPipeline`]) to recover their
-    /// own engine type.
-    pub(crate) fn close_core(mut self) -> Result<(Vec<CoreEngine>, PipelineStats), PipelineError> {
+    pub fn close(mut self) -> Result<(Vec<E>, PipelineStats), PipelineError> {
         self.queue.close_input();
         let mut panicked = false;
         if let Some(router) = self.router.take() {
@@ -935,14 +875,14 @@ impl IdsPipeline {
     }
 
     /// Closes a **single-worker** pipeline and returns its engine (with the
-    /// possibly-updated model) — the historical API.
+    /// possibly-updated model).
     ///
     /// # Errors
     ///
     /// [`PipelineError::NotSingleWorker`] when more than one worker was
     /// spawned (use [`IdsPipeline::close`]), [`PipelineError::WorkerPanicked`]
     /// if a thread panicked.
-    pub fn finish(self) -> Result<(IdsEngine, PipelineStats), PipelineError> {
+    pub fn finish(self) -> Result<(E, PipelineStats), PipelineError> {
         if self.workers.len() != 1 {
             return Err(PipelineError::NotSingleWorker);
         }
@@ -952,7 +892,20 @@ impl IdsPipeline {
     }
 }
 
-impl Drop for IdsPipeline {
+impl IdsPipeline<FusionEngine> {
+    /// Notable fusion frames (drift verdicts, voter outages), in framing
+    /// order.
+    pub fn fusion_events(&self) -> &Receiver<FusionEvent> {
+        &self.fusion_rx
+    }
+
+    /// The cross-shard drift/outage ledger.
+    pub fn ledger(&self) -> &Arc<DriftLedger> {
+        &self.ledger
+    }
+}
+
+impl<E: PipelineEngine> Drop for IdsPipeline<E> {
     fn drop(&mut self) {
         self.queue.close_input();
         // Best effort: never panic in drop.
@@ -1135,9 +1088,9 @@ struct WorkerRuntime {
 /// supervisor rolls `engine` back to `checkpoint` and resumes from
 /// `pending`, dropping only the segment that was in flight when the panic
 /// hit.
-struct WorkerState {
-    engine: CoreEngine,
-    checkpoint: CoreEngine,
+struct WorkerState<E> {
+    engine: E,
+    checkpoint: E,
     pending: VecDeque<SegmentItem>,
     /// Scratch for ring pops; drained into `pending` immediately.
     batch: Vec<SegmentItem>,
@@ -1151,7 +1104,7 @@ struct WorkerState {
     processed: usize,
 }
 
-impl WorkerState {
+impl<E: PipelineEngine> WorkerState<E> {
     /// Refreshes the restart checkpoint.
     fn refresh_checkpoint(&mut self) {
         self.checkpoint = self.engine.clone();
@@ -1329,7 +1282,7 @@ fn outcome_of(event: &IdsEvent) -> WindowOutcome {
 /// exponential backoff); past the budget the shard fails permanently and
 /// its windows drain as [`IdsEvent::Dropped`] placeholders so the merger's
 /// reorder buffer never stalls on a sequence gap.
-fn supervised_worker(engine: CoreEngine, rt: WorkerRuntime) -> CoreEngine {
+fn supervised_worker<E: PipelineEngine>(engine: E, rt: WorkerRuntime) -> E {
     // Held for the whole thread: if this worker dies in any way
     // supervision does not cover, the router must not park forever on a
     // ring nobody will ever drain again.
@@ -1443,7 +1396,7 @@ fn merger_loop(
     scored_rx: Receiver<ScoredItem>,
     event_tx: Sender<IdsEvent>,
     fusion_tx: Sender<FusionEvent>,
-    ledger: Option<Arc<DriftLedger>>,
+    ledger: &DriftLedger,
     stats: Arc<Mutex<PipelineStats>>,
     clocks: Arc<StageClocks>,
 ) {
@@ -1527,7 +1480,7 @@ fn merger_loop(
             .merge
             .fetch_add(elapsed_ns(merging), Ordering::Relaxed);
         if !notables.is_empty() {
-            publish_fusion_notables(&fusion_tx, ledger.as_deref(), &mut notables);
+            publish_fusion_notables(&fusion_tx, ledger, &mut notables);
         }
     }
 }
@@ -1537,17 +1490,15 @@ fn merger_loop(
 // xtask: cold
 fn publish_fusion_notables(
     fusion_tx: &Sender<FusionEvent>,
-    ledger: Option<&DriftLedger>,
+    ledger: &DriftLedger,
     notables: &mut Vec<(u64, usize, FusionRecord)>,
 ) {
     for (stream_pos, shard, record) in notables.drain(..) {
-        if let Some(ledger) = ledger {
-            if let Some(verdict) = record.drift {
-                ledger.record_drift(stream_pos, shard, verdict);
-            }
-            if let Some(voter) = record.outage {
-                ledger.record_outage(stream_pos, shard, voter);
-            }
+        if let Some(verdict) = record.drift {
+            ledger.record_drift(stream_pos, shard, verdict);
+        }
+        if let Some(voter) = record.outage {
+            ledger.record_outage(stream_pos, shard, voter);
         }
         let _ = fusion_tx.send(FusionEvent {
             stream_pos,
@@ -1563,6 +1514,12 @@ mod tests {
     use crate::UpdatePolicy;
     use vprofile::{EdgeSetExtractor, Trainer, VProfileConfig};
     use vprofile_vehicle::{CaptureConfig, Vehicle};
+
+    fn single_worker(high_water: usize) -> PipelineConfig {
+        PipelineConfig::default()
+            .with_workers(1)
+            .with_high_water(high_water)
+    }
 
     fn engine_and_capture() -> (IdsEngine, vprofile_vehicle::Capture) {
         let vehicle = Vehicle::vehicle_b(23);
@@ -1583,7 +1540,7 @@ mod tests {
     #[test]
     fn pipeline_processes_chunked_stream() {
         let (engine, capture) = engine_and_capture();
-        let pipeline = IdsPipeline::spawn(engine, 4);
+        let pipeline = IdsPipeline::spawn_sharded(engine, single_worker(4));
         let mut stream = Vec::new();
         for frame in capture.frames().iter().take(40) {
             stream.extend(frame.trace.to_f64());
@@ -1609,7 +1566,7 @@ mod tests {
     #[test]
     fn events_are_received_while_running() {
         let (engine, capture) = engine_and_capture();
-        let pipeline = IdsPipeline::spawn(engine, 4);
+        let pipeline = IdsPipeline::spawn_sharded(engine, single_worker(4));
         let mut stream = Vec::new();
         for frame in capture.frames().iter().take(5) {
             stream.extend(frame.trace.to_f64());
@@ -1637,7 +1594,7 @@ mod tests {
         let model = engine.model().unwrap().clone();
         let before: usize = model.clusters().iter().map(|c| c.count()).sum();
         let engine = IdsEngine::new(model, 2.0, UpdatePolicy::every(1, usize::MAX));
-        let pipeline = IdsPipeline::spawn(engine, 2);
+        let pipeline = IdsPipeline::spawn_sharded(engine, single_worker(2));
         let mut stream = Vec::new();
         for frame in capture.frames().iter().take(60) {
             stream.extend(frame.trace.to_f64());
@@ -1658,7 +1615,7 @@ mod tests {
     #[test]
     fn drop_without_finish_does_not_hang() {
         let (engine, _) = engine_and_capture();
-        let pipeline = IdsPipeline::spawn(engine, 2);
+        let pipeline = IdsPipeline::spawn_sharded(engine, single_worker(2));
         pipeline.feed(vec![1000.0; 100]).unwrap();
         drop(pipeline); // must join cleanly
     }

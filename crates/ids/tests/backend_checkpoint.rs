@@ -1,8 +1,10 @@
-//! Per-backend pipeline equivalence: every detection backend must behave
-//! identically under sharding, supervisor restarts, and snapshot/restore.
+//! Per-engine pipeline equivalence: every detection backend, and a fusion
+//! of several, must behave identically under sharding, supervisor
+//! restarts, and checkpointing.
 //!
-//! Three invariants, each checked for vProfile, Viden, Scission, and
-//! VoltageIDS through the *same* `IdsPipeline` code path:
+//! Three invariants, checked for vProfile, Viden, Scission and VoltageIDS
+//! through the *same* `IdsPipeline` code path (the last two also for a
+//! vprofile + viden + scission `FusionEngine`):
 //!
 //! * **worker-count identity** — an N-worker run emits byte-identical
 //!   events to a single-worker run (online updates disabled, since shared
@@ -10,22 +12,28 @@
 //! * **restart identity** — a supervisor-restarted worker produces the
 //!   same event stream as an unrestarted one, except for the single
 //!   in-flight window that becomes a `Dropped` placeholder;
-//! * **snapshot round-trip** — restoring a backend snapshot into a fresh
-//!   engine reproduces the donor's verdicts bit for bit, and a snapshot
-//!   of one backend kind is rejected by every other kind.
+//! * **checkpoint identity** — the supervisor's checkpoint is a `clone()`
+//!   of the engine, so a clone taken mid-stream, with online updates
+//!   moving the state, must score the rest of the stream byte-identically
+//!   to the engine it was taken from.
 
 use std::sync::Arc;
 use vprofile::{EdgeSetExtractor, Trainer, VProfileConfig};
 use vprofile_baselines::{ScissionDetector, VidenDetector, VoltageIdsDetector};
 use vprofile_ids::{
-    Backend, DetectionBackend, IdsEngine, IdsEvent, IdsPipeline, PipelineConfig, PipelineStats,
-    UpdatePolicy,
+    Backend, FusionConfig, FusionEngine, IdsEngine, IdsEvent, IdsPipeline, PipelineConfig,
+    PipelineEngine, PipelineStats, UpdatePolicy,
 };
-use vprofile_vehicle::{Capture, CaptureConfig, Vehicle};
+use vprofile_vehicle::{CaptureConfig, Vehicle};
 
 /// Trains all four backends on one clean vehicle-B capture and returns an
-/// engine per backend plus the raw replay stream.
-fn backend_engines(seed: u64, frames: usize) -> (Vec<IdsEngine>, Vec<f64>) {
+/// engine per backend, a vprofile + viden + scission fusion of them, and
+/// the raw replay stream. Every engine runs under `policy`.
+fn engines(
+    seed: u64,
+    frames: usize,
+    policy: UpdatePolicy,
+) -> (Vec<IdsEngine>, FusionEngine, Vec<f64>) {
     let vehicle = Vehicle::vehicle_b(seed);
     let capture = vehicle
         .capture(&CaptureConfig::default().with_frames(frames).with_seed(seed))
@@ -48,23 +56,30 @@ fn backend_engines(seed: u64, frames: usize) -> (Vec<IdsEngine>, Vec<f64>) {
         Backend::from(scission),
         Backend::from(voltageids),
     ];
+    let fusion = FusionEngine::new(
+        backends[..3].to_vec(),
+        config.clone(),
+        FusionConfig::default(),
+        policy,
+    );
     let engines = backends
         .into_iter()
-        .map(|b| IdsEngine::with_backend(b, config.clone(), UpdatePolicy::disabled()))
+        .map(|b| IdsEngine::with_backend(b, config.clone(), policy))
         .collect();
-    (engines, stream_of(&capture))
-}
-
-fn stream_of(capture: &Capture) -> Vec<f64> {
     let mut stream = Vec::new();
     for frame in capture.frames() {
         stream.extend(frame.trace.to_f64());
     }
-    stream
+    (engines, fusion, stream)
 }
 
-fn run_pipeline(
-    engine: IdsEngine,
+fn backend_engines(seed: u64, frames: usize) -> (Vec<IdsEngine>, Vec<f64>) {
+    let (engines, _, stream) = engines(seed, frames, UpdatePolicy::disabled());
+    (engines, stream)
+}
+
+fn run_pipeline<E: PipelineEngine>(
+    engine: E,
     config: PipelineConfig,
     stream: &[f64],
 ) -> (Vec<IdsEvent>, PipelineStats) {
@@ -129,94 +144,89 @@ fn n_worker_events_are_byte_identical_to_single_worker_per_backend() {
     }
 }
 
+/// Runs `engine` twice on 2 workers, once clean and once with a panic
+/// injected at seq 150, and checks the restarted run differs from the
+/// clean one only in the in-flight window. Returns the faulted run's stats.
+fn assert_restart_reconverges<E: PipelineEngine>(
+    name: &str,
+    engine: E,
+    checkpoint_interval: usize,
+    stream: &[f64],
+) -> PipelineStats {
+    let base = PipelineConfig::default()
+        .with_workers(2)
+        .with_checkpoint_interval(checkpoint_interval)
+        .with_backoff_base_ms(1);
+    let (clean, _) = run_pipeline(engine.clone(), base.clone(), stream);
+    let faulted_config = base.with_fault_hook(Arc::new(|shard, seq| {
+        if seq == 150 {
+            panic!("forced panic in shard {shard} at seq {seq}");
+        }
+    }));
+    let (faulted, stats) = run_pipeline(engine, faulted_config, stream);
+    assert_eq!(stats.restarts.iter().sum::<u32>(), 1, "{name}: one restart");
+    assert_eq!(stats.dropped, 1, "{name}: exactly the in-flight window");
+    assert_eq!(clean.len(), faulted.len(), "{name}: same frame count");
+    let mut diffs = 0;
+    for (c, f) in clean.iter().zip(&faulted) {
+        if c == f {
+            continue;
+        }
+        diffs += 1;
+        assert!(
+            matches!(f, IdsEvent::Dropped { .. }),
+            "{name}: the only divergence is the dropped window: {c:?} vs {f:?}"
+        );
+    }
+    assert_eq!(diffs, 1, "{name}: restart must not perturb any other event");
+    stats
+}
+
 #[test]
 fn restarted_worker_reconverges_with_unrestarted_run_per_backend() {
-    let (engines, stream) = backend_engines(41, 400);
+    let (engines, fusion, stream) = engines(41, 400, UpdatePolicy::disabled());
     for engine in engines {
-        let name = engine.backend_name();
         // Checkpoint every window, so the rollback replays nothing: the
         // restarted run must differ from the clean one in exactly the
         // window in flight at the panic, which becomes Dropped.
-        let base = PipelineConfig::default()
-            .with_workers(2)
-            .with_checkpoint_interval(1)
-            .with_backoff_base_ms(1);
-        let (clean, _) = run_pipeline(engine.clone(), base.clone(), &stream);
-        let faulted_config = base.with_fault_hook(Arc::new(|shard, seq| {
-            if seq == 150 {
-                panic!("forced panic in shard {shard} at seq {seq}");
-            }
-        }));
-        let (faulted, stats) = run_pipeline(engine, faulted_config, &stream);
-        assert_eq!(stats.restarts.iter().sum::<u32>(), 1, "{name}: one restart");
-        assert_eq!(stats.dropped, 1, "{name}: exactly the in-flight window");
-        assert_eq!(clean.len(), faulted.len(), "{name}: same frame count");
-        let mut diffs = 0;
-        for (c, f) in clean.iter().zip(&faulted) {
-            if c == f {
-                continue;
-            }
-            diffs += 1;
-            assert!(
-                matches!(f, IdsEvent::Dropped { .. }),
-                "{name}: the only divergence is the dropped window: {c:?} vs {f:?}"
-            );
-        }
-        assert_eq!(diffs, 1, "{name}: restart must not perturb any other event");
+        let name = engine.backend_name();
+        assert_restart_reconverges(name, engine, 1, &stream);
+    }
+    // The fused engine restarts through the same supervisor, both from a
+    // fresh checkpoint and from one taken before the shard's first frame.
+    for interval in [1, 256] {
+        let name = format!("fusion (checkpoint every {interval})");
+        let stats = assert_restart_reconverges(&name, fusion.clone(), interval, &stream);
+        assert_eq!(stats.restarts, vec![1, 0], "{name}");
+        assert_eq!(stats.fusion_frames, 399, "{name}: every scored frame fused");
     }
 }
 
+/// Feeds `donor` the first half of `stream`, clones it, and feeds the
+/// second half to both: the two tails must serialize identically.
+fn assert_clone_scores_like_donor<E: Clone>(
+    name: &str,
+    mut donor: E,
+    process: fn(&mut E, &[f64]) -> Vec<IdsEvent>,
+    stream: &[f64],
+) {
+    let (head, tail) = stream.split_at(stream.len() / 2);
+    process(&mut donor, head);
+    let mut clone = donor.clone();
+    let donor_tail = serde_json::to_string(&process(&mut donor, tail)).expect("serialize");
+    let clone_tail = serde_json::to_string(&process(&mut clone, tail)).expect("serialize");
+    assert_eq!(
+        donor_tail, clone_tail,
+        "{name}: the clone must score like the donor"
+    );
+}
+
 #[test]
-fn snapshot_restore_reproduces_verdicts_per_backend() {
-    let (engines, stream) = backend_engines(43, 400);
-    let half = stream.len() / 2;
+fn a_cloned_engine_scores_the_rest_of_the_stream_identically() {
+    let (engines, fusion, stream) = engines(43, 400, UpdatePolicy::every(1, usize::MAX));
     for engine in engines {
         let name = engine.backend_name();
-
-        // Drive the donor through the first half, snapshot, then finish.
-        let mut donor = engine.clone();
-        donor.process_samples(&stream[..half]);
-        let snapshot = donor.backend().snapshot();
-        assert_eq!(snapshot.kind(), name);
-        let donor_tail: Vec<IdsEvent> = donor.process_samples(&stream[half..]);
-
-        // Restore into a *fresh* clone that never saw the first half; its
-        // framer state is rebuilt by replaying the same first half, so the
-        // second-half events must be byte-identical.
-        let mut restored = engine.clone();
-        restored.process_samples(&stream[..half]);
-        restored
-            .backend_mut()
-            .restore(&snapshot)
-            .expect("same-kind restore");
-        let restored_tail: Vec<IdsEvent> = restored.process_samples(&stream[half..]);
-        assert_eq!(
-            serde_json::to_string(&donor_tail).expect("serialize"),
-            serde_json::to_string(&restored_tail).expect("serialize"),
-            "{name}: restored backend must reproduce the donor's verdicts"
-        );
+        assert_clone_scores_like_donor(name, engine, IdsEngine::process_samples, &stream);
     }
-}
-
-#[test]
-fn snapshots_are_rejected_across_backend_kinds() {
-    let (engines, _) = backend_engines(47, 400);
-    let snapshots: Vec<_> = engines.iter().map(|e| e.backend().snapshot()).collect();
-    for (i, engine) in engines.iter().enumerate() {
-        for (j, snapshot) in snapshots.iter().enumerate() {
-            let mut target = engine.clone();
-            let result = target.backend_mut().restore(snapshot);
-            if i == j {
-                result.expect("same-kind restore succeeds");
-            } else {
-                let err = result.expect_err("cross-kind restore must fail");
-                let message = err.to_string();
-                assert!(
-                    message.contains(engines[i].backend_name())
-                        && message.contains(engines[j].backend_name()),
-                    "error should name both kinds: {message}"
-                );
-            }
-        }
-    }
+    assert_clone_scores_like_donor("fusion", fusion, FusionEngine::process_samples, &stream);
 }

@@ -58,7 +58,7 @@ fn fusion_setup(frames: usize, seed: u64) -> (FusionEngine, Vec<f64>) {
 
 fn run(engine: FusionEngine, workers: usize, stream: &[f64]) -> (Vec<IdsEvent>, FusionRunOutcome) {
     let mut pipeline =
-        FusionPipeline::spawn(engine, PipelineConfig::default().with_workers(workers));
+        FusionPipeline::spawn_sharded(engine, PipelineConfig::default().with_workers(workers));
     for chunk in stream.chunks(65_536) {
         pipeline.feed(chunk.to_vec()).expect("feed");
     }

@@ -176,7 +176,7 @@ impl BatchedMahalanobis {
     /// [`BatchedMahalanobis::distances_batch`] into a reusable output batch
     /// (cleared first), so batched scoring is allocation-free once both
     /// buffers are warm. The batch kernel streams each frame row through
-    /// [`BatchedMahalanobis::score_row`]: the stacked factor matrix (tens
+    /// `BatchedMahalanobis::score_row`: the stacked factor matrix (tens
     /// of KiB) stays cache-resident while frame rows stream past it, which
     /// is the same access pattern a blocked `M · Xᵀ` product would produce
     /// without ever materializing `Xᵀ` or the `(K·d) × B` intermediate.

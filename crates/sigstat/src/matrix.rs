@@ -242,7 +242,7 @@ impl Matrix {
 
     /// Matrix–vector product `self * x` written into `out` (cleared first),
     /// so a reused output buffer makes the product allocation-free. Each
-    /// output entry is one 4-wide [`dot`] over a contiguous row.
+    /// output entry is one 4-wide `dot` over a contiguous row.
     ///
     /// # Errors
     ///
@@ -583,7 +583,7 @@ impl Cholesky {
     }
 
     /// Forward substitution into a reusable buffer (cleared first): row `i`
-    /// subtracts the 4-wide [`dot`] of `L`'s contiguous row prefix with the
+    /// subtracts the 4-wide `dot` of `L`'s contiguous row prefix with the
     /// already-solved prefix of `y`, so the solve is allocation-free once
     /// `y` has capacity.
     ///
@@ -623,7 +623,7 @@ impl Cholesky {
     /// stride-`n` columns, so instead of strided dots this uses the
     /// column-sweep formulation: once `x_i` is fixed, `x_i · L[i, ..i]`
     /// (a contiguous row prefix) is subtracted from the remaining partial
-    /// sums with the 4-wide [`axpy`].
+    /// sums with the 4-wide `axpy`.
     ///
     /// # Errors
     ///

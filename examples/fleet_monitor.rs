@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use vprofile_suite::analog::{Environment, FrameSynthesizer, TransceiverModel};
 use vprofile_suite::can::{DataFrame, J1939Id, Pgn, Priority, SourceAddress, WireFrame};
 use vprofile_suite::core::{EdgeSetExtractor, Trainer, VProfileConfig};
-use vprofile_suite::ids::{IdsEngine, IdsPipeline, UpdatePolicy};
+use vprofile_suite::ids::{IdsEngine, IdsPipeline, PipelineConfig, UpdatePolicy};
 use vprofile_suite::vehicle::{CaptureConfig, Vehicle};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,7 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Spin up the threaded monitor and feed ADC-sized chunks.
     let engine = IdsEngine::new(model, 2.0, UpdatePolicy::every(4, 100_000));
-    let pipeline = IdsPipeline::spawn(engine, 8);
+    let pipeline = IdsPipeline::spawn_sharded(
+        engine,
+        PipelineConfig::default().with_workers(1).with_high_water(8),
+    );
     for chunk in stream.chunks(4096) {
         pipeline
             .feed(chunk.to_vec())

@@ -62,7 +62,10 @@ fn foreign_device_is_flagged_in_the_raw_stream() {
     }
 
     let engine = IdsEngine::new(model, 2.0, UpdatePolicy::disabled());
-    let pipeline = IdsPipeline::spawn(engine, 4);
+    let pipeline = IdsPipeline::spawn_sharded(
+        engine,
+        PipelineConfig::default().with_workers(1).with_high_water(4),
+    );
     for chunk in stream.chunks(4096) {
         pipeline
             .feed(chunk.to_vec())
@@ -209,7 +212,7 @@ fn sharded_pipeline_matches_the_single_threaded_engine() {
         for chunk_len in [97, 8_192, 65_536] {
             let pipeline_config = PipelineConfig::default().with_workers(workers);
             let mut pipeline = IdsPipeline::spawn_sharded(engine.clone(), pipeline_config.clone());
-            let mut fused = FusionPipeline::spawn(fusion.clone(), pipeline_config);
+            let mut fused = FusionPipeline::spawn_sharded(fusion.clone(), pipeline_config);
             for chunk in stream.chunks(chunk_len) {
                 pipeline.feed(chunk.to_vec()).expect("feed");
                 fused.feed(chunk.to_vec()).expect("feed");
